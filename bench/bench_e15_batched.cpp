@@ -96,39 +96,5 @@ int main(int argc, char** argv) {
   std::cout << "\npicks, certificates, and sweep counts are bit-identical "
                "across all three rows; only the physical BFS count drops.\n";
 
-  // Speculative-engine ablation: the pipelined double-buffered windows
-  // (overlap) and terminal-batch work stealing (steal) are the *other* way
-  // to parallelize the greedy — unlike the Section 6 batched greedy above,
-  // they cost zero size and keep committed sweeps bit-identical; only the
-  // speculation counters move.  (On a 1-core machine the rows oversubscribe
-  // and measure overhead, not speedup — the CI perf-multicore lane records
-  // the real numbers.)
-  const auto threads = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(2, cli.get_int("threads", 4)));
-  std::cout << "\nspeculative engine overlap x steal ablation (" << threads
-            << " threads):\n";
-  Table spec({"overlap", "steal", "m(H)", "sweeps", "spec-evals",
-              "wasted-sweeps", "ov-windows", "stolen-chunks", "secs"});
-  for (const bool overlap : {false, true}) {
-    for (const bool steal : {false, true}) {
-      ModifiedGreedyConfig config;
-      config.exec.threads = threads;
-      config.exec.overlap = overlap;
-      config.exec.steal = steal;
-      const auto build = modified_greedy_spanner(g, params, config);
-      spec.add_row(
-          {overlap ? "on" : "off", steal ? "on" : "off",
-           Table::num(build.spanner.m()),
-           Table::num(static_cast<long long>(build.stats.search_sweeps)),
-           Table::num(static_cast<long long>(build.stats.spec_evaluated)),
-           Table::num(static_cast<long long>(build.stats.spec_wasted_sweeps)),
-           Table::num(static_cast<long long>(build.stats.overlap_windows)),
-           Table::num(static_cast<long long>(build.stats.stolen_chunks)),
-           Table::num(build.stats.seconds, 3)});
-    }
-  }
-  spec.print(std::cout);
-  std::cout << "\nm(H) and sweeps are bit-identical across all four rows: the "
-               "pipeline changes scheduling, never decisions.\n";
   return 0;
 }

@@ -39,7 +39,6 @@
 #include "bench_util.h"
 #include "core/modified_greedy.h"
 #include "core/result.h"
-#include "exec/thread_pool.h"
 #include "util/timer.h"
 
 // ------------------------------------------------------- allocation counter
@@ -91,8 +90,6 @@ struct RunResult {
   std::size_t edgefactor = 0;
   std::uint32_t f = 0;
   std::uint32_t k = 0;
-  std::uint32_t threads = 1;
-  std::uint32_t threads_used = 1;
   std::size_t spanner_m = 0;
   double seconds = 0.0;      // spanner build only
   double gen_seconds = 0.0;  // graph generation, separate by design
@@ -114,16 +111,13 @@ struct EngineKnobs {
 
 RunResult run_config(const std::string& family, std::size_t scale,
                      std::size_t edgefactor, std::uint32_t f, std::uint32_t k,
-                     std::uint32_t threads, std::uint64_t seed,
-                     const EngineKnobs& knobs) {
+                     std::uint64_t seed, const EngineKnobs& knobs) {
   RunResult out;
   out.family = family;
   out.scale = scale;
   out.edgefactor = edgefactor;
   out.f = f;
   out.k = k;
-  out.threads = threads;
-  out.threads_used = std::min(threads, exec::resolve_threads(0));
 
   Rng rng(seed + scale);
   const auto [g, gen_seconds] = bench::timed_gen([&] {
@@ -136,7 +130,6 @@ RunResult run_config(const std::string& family, std::size_t scale,
   out.graph_bytes = g.memory_bytes();
 
   ModifiedGreedyConfig config;
-  config.exec.threads = out.threads_used;
   config.batch_terminals = knobs.batch;
   config.masked_tree = knobs.masked;
   const AllocSnapshot before = alloc_now();
@@ -184,9 +177,7 @@ bool write_json(const std::string& path, const std::vector<RunResult>& results) 
     out << "  {\"family\": \"" << r.family << "\", \"scale\": " << r.scale
         << ", \"n\": " << r.n << ", \"m\": " << r.m
         << ", \"edgefactor\": " << r.edgefactor << ", \"f\": " << r.f
-        << ", \"k\": " << r.k << ", \"threads\": " << r.threads
-        << ", \"threads_used\": " << r.threads_used
-        << ", \"spanner_m\": " << r.spanner_m << ", \"seconds\": " << r.seconds
+        << ", \"k\": " << r.k << ", \"spanner_m\": " << r.spanner_m << ", \"seconds\": " << r.seconds
         << ", \"gen_seconds\": " << r.gen_seconds
         << ", \"peak_rss_mb\": " << r.peak_rss_mb
         << ", \"arcs_traversed\": " << r.arcs_traversed
@@ -217,7 +208,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_uint("edgefactor", 16));
   const auto f = static_cast<std::uint32_t>(cli.get_uint("f", 0));
   const auto k = static_cast<std::uint32_t>(cli.get_uint("k", 2));
-  const auto threads = static_cast<std::uint32_t>(cli.get_uint("threads", 1));
   EngineKnobs knobs;
   knobs.batch = cli.get_int("batch", 1) != 0;
   knobs.masked = cli.get_int("masked", 0) != 0;
@@ -237,21 +227,20 @@ int main(int argc, char** argv) {
   std::vector<RunResult> results;
   for (const std::size_t scale : scales) {
     results.push_back(
-        run_config(family, scale, edgefactor, f, k, threads, seed, knobs));
+        run_config(family, scale, edgefactor, f, k, seed, knobs));
     const auto& r = results.back();
     std::cout << family << " scale=" << scale << " done: n=" << r.n
               << " m=" << r.m << " build=" << r.seconds << "s (gen "
               << r.gen_seconds << "s), peak RSS " << r.peak_rss_mb << " MiB\n";
   }
 
-  Table table({"family", "scale", "n", "m(G)", "f", "k", "thr", "m(H)",
+  Table table({"family", "scale", "n", "m(G)", "f", "k", "m(H)",
                "build-s", "gen-s", "rss-MiB", "arcs", "arena-MiB", "allocs",
                "sweeps", "grafts"});
   for (const auto& r : results)
     table.add_row({r.family, Table::num(r.scale), Table::num(r.n),
                    Table::num(r.m), Table::num(static_cast<long long>(r.f)),
                    Table::num(static_cast<long long>(r.k)),
-                   Table::num(static_cast<long long>(r.threads)),
                    Table::num(r.spanner_m), Table::num(r.seconds, 2),
                    Table::num(r.gen_seconds, 2), Table::num(r.peak_rss_mb, 1),
                    Table::num(static_cast<long long>(r.arcs_traversed)),

@@ -3,19 +3,14 @@
 // step is exponential in f.
 //
 // Sweeps the modified greedy over growing (n, f, k) configs (plus the exact
-// greedy on tiny inputs for contrast), at one thread and — via --threads,
-// which accepts a comma list like "1,2,4" — through the speculative-evaluate
-// / sequential-commit engine (src/exec/), printing a human table with
-// per-config speedups and writing machine-readable results to
-// BENCH_e4_runtime.json so successive PRs (and the CI perf-multicore lane)
-// can track the perf trajectory of the hot path.
+// greedy on tiny inputs for contrast), printing a human table and writing
+// machine-readable results to BENCH_e4_runtime.json so successive commits
+// (and the CI perf lane) can track the perf trajectory of the hot path.
 
 #include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,7 +18,6 @@
 #include "core/greedy_exact.h"
 #include "core/modified_greedy.h"
 #include "core/result.h"
-#include "exec/thread_pool.h"
 #include "util/timer.h"
 
 namespace {
@@ -36,27 +30,15 @@ struct RunResult {
   std::size_t m = 0;
   std::uint32_t f = 0;
   std::uint32_t k = 0;
-  std::uint32_t threads = 1;       // requested worker count
-  std::uint32_t threads_used = 1;  // after clamping to the hardware
   std::size_t spanner_m = 0;
   double seconds = 0.0;      // spanner build only (best of reps)
   double gen_seconds = 0.0;  // input-graph construction, reported separately
-  // Wall-clock ratio vs the *measured* threads=1 row of the same config;
-  // absent (JSON null) when no such baseline row exists or this row is the
-  // baseline itself.  Never a hardcoded 1 — a clamped multi-thread row gets
-  // its honestly measured (≈1.0) ratio, not a silent placeholder.
-  bool has_speedup = false;
-  double speedup = 0.0;
   std::uint64_t oracle_calls = 0;
   std::uint64_t sweeps = 0;
-  std::uint64_t spec_evals = 0;
-  std::uint64_t spec_wasted_sweeps = 0;
   std::uint64_t batched_sweeps = 0;
   std::uint64_t tree_reuse_hits = 0;
   std::uint64_t masked_reuse_hits = 0;
   std::uint64_t masked_tree_repairs = 0;
-  std::uint64_t overlap_windows = 0;
-  std::uint64_t stolen_chunks = 0;
   std::uint64_t arcs_traversed = 0;
   std::uint64_t arena_bytes = 0;
 };
@@ -64,15 +46,13 @@ struct RunResult {
 struct EngineKnobs {
   bool batch = true;
   bool masked = true;
-  bool overlap = true;
-  bool steal = true;
 };
 
 /// Best-of-`reps` timing of one greedy build (min is the stablest statistic
 /// for a deterministic workload on a shared machine).
 RunResult run_config(const std::string& algo, std::size_t n, std::uint32_t f,
-                     std::uint32_t k, std::uint32_t threads, std::uint32_t reps,
-                     std::uint64_t seed, const EngineKnobs& knobs) {
+                     std::uint32_t k, std::uint32_t reps, std::uint64_t seed,
+                     const EngineKnobs& knobs) {
   Rng rng(seed + n);
   const auto [g, gen_seconds] =
       bench::timed_gen([&] { return bench::gnp_with_degree(n, 16.0, rng); });
@@ -83,13 +63,7 @@ RunResult run_config(const std::string& algo, std::size_t n, std::uint32_t f,
   out.m = g.m();
   out.f = f;
   out.k = k;
-  out.threads = threads;
-  // Oversubscribing a core measures scheduler noise, not the engine: clamp.
-  out.threads_used = std::min(threads, exec::resolve_threads(0));
   ModifiedGreedyConfig config;
-  config.exec.threads = out.threads_used;
-  config.exec.overlap = knobs.overlap;
-  config.exec.steal = knobs.steal;
   config.batch_terminals = knobs.batch;
   config.masked_tree = knobs.masked;
   out.seconds = std::numeric_limits<double>::infinity();
@@ -105,37 +79,14 @@ RunResult run_config(const std::string& algo, std::size_t n, std::uint32_t f,
       out.spanner_m = build.spanner.m();
       out.oracle_calls = build.stats.oracle_calls;
       out.sweeps = build.stats.search_sweeps;
-      out.spec_evals = build.stats.spec_evaluated;
-      out.spec_wasted_sweeps = build.stats.spec_wasted_sweeps;
       out.batched_sweeps = build.stats.batched_sweeps;
       out.tree_reuse_hits = build.stats.tree_reuse_hits;
       out.masked_reuse_hits = build.stats.masked_reuse_hits;
       out.masked_tree_repairs = build.stats.masked_tree_repairs;
-      out.overlap_windows = build.stats.overlap_windows;
-      out.stolen_chunks = build.stats.stolen_chunks;
       out.arcs_traversed = build.stats.arcs_traversed;
       out.arena_bytes = build.stats.arena_bytes;
     }
   }
-  return out;
-}
-
-/// Parses "--threads 1,2,4": a comma list of requested worker counts.
-/// Duplicates and the implicit baseline 1 are deduplicated; order preserved.
-std::vector<std::uint32_t> parse_threads_list(const std::string& arg) {
-  std::vector<std::uint32_t> out;
-  std::stringstream ss(arg);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    const long value = std::stol(item);
-    if (value < 1 || value > 4096)
-      throw std::invalid_argument("--threads values must be in [1, 4096]");
-    const auto threads = static_cast<std::uint32_t>(value);
-    if (std::find(out.begin(), out.end(), threads) == out.end())
-      out.push_back(threads);
-  }
-  if (out.empty()) out.push_back(1);
   return out;
 }
 
@@ -146,23 +97,14 @@ bool write_json(const std::string& path, const std::vector<RunResult>& results) 
     const auto& r = results[i];
     out << "  {\"algo\": \"" << r.algo << "\", \"n\": " << r.n
         << ", \"m\": " << r.m << ", \"f\": " << r.f << ", \"k\": " << r.k
-        << ", \"threads\": " << r.threads
-        << ", \"threads_used\": " << r.threads_used
         << ", \"spanner_m\": " << r.spanner_m << ", \"seconds\": " << r.seconds
-        << ", \"gen_seconds\": " << r.gen_seconds << ", \"speedup\": ";
-    if (r.has_speedup)
-      out << r.speedup;
-    else
-      out << "null";
-    out << ", \"oracle_calls\": " << r.oracle_calls
-        << ", \"sweeps\": " << r.sweeps << ", \"spec_evals\": " << r.spec_evals
-        << ", \"spec_wasted_sweeps\": " << r.spec_wasted_sweeps
+        << ", \"gen_seconds\": " << r.gen_seconds
+        << ", \"oracle_calls\": " << r.oracle_calls
+        << ", \"sweeps\": " << r.sweeps
         << ", \"batched_sweeps\": " << r.batched_sweeps
         << ", \"tree_reuse_hits\": " << r.tree_reuse_hits
         << ", \"masked_reuse_hits\": " << r.masked_reuse_hits
         << ", \"masked_tree_repairs\": " << r.masked_tree_repairs
-        << ", \"overlap_windows\": " << r.overlap_windows
-        << ", \"stolen_chunks\": " << r.stolen_chunks
         << ", \"arcs_traversed\": " << r.arcs_traversed
         << ", \"arena_bytes\": " << r.arena_bytes << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
@@ -179,12 +121,9 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 42));
   const auto reps = static_cast<std::uint32_t>(
       std::max<std::int64_t>(1, cli.get_int("reps", 3)));
-  const auto thread_counts = parse_threads_list(cli.get("threads", "1"));
   EngineKnobs knobs;
   knobs.batch = cli.get_int("batch", 1) != 0;
   knobs.masked = cli.get_int("masked", 1) != 0;
-  knobs.overlap = cli.get_int("overlap", 1) != 0;
-  knobs.steal = cli.get_int("steal", 1) != 0;
   const auto json_path = cli.get("out", "BENCH_e4_runtime.json");
   const bench::ObsFlags obs = bench::obs_flags(cli);
 
@@ -192,12 +131,6 @@ int main(int argc, char** argv) {
                 "Theorem 9: modified greedy is polynomial while the exact "
                 "greedy's decision step is exponential in f",
                 seed);
-  const std::uint32_t hw = exec::resolve_threads(0);
-  for (const std::uint32_t threads : thread_counts)
-    if (threads > 1)
-      std::cout << "speculative engine: " << threads << " threads requested, "
-                << std::min(threads, hw) << " usable on this machine\n";
-  if (thread_counts.size() > 1 || thread_counts.front() > 1) std::cout << "\n";
   // Traced runs are for inspection, not for floors: the span recording costs
   // wall-clock, so CI gates only untraced runs.
   obs.start();
@@ -210,56 +143,30 @@ int main(int argc, char** argv) {
       {128, 1, 2},  {256, 1, 2}, {512, 1, 2},  {512, 0, 2},  {128, 2, 2},
       {128, 4, 2},  {512, 2, 3}, {1024, 2, 2}, {2048, 2, 2},
   };
-  // The measured threads=1 rows are the speedup baselines; they are emitted
-  // exactly once even when 1 is not in the requested list.
   for (const auto& c : modified)
-    results.push_back(run_config("modified", c.n, c.f, c.k, 1, reps, seed, knobs));
-  for (const std::uint32_t threads : thread_counts) {
-    if (threads == 1) continue;
-    for (const auto& c : modified) {
-      RunResult r = run_config("modified", c.n, c.f, c.k, threads, reps, seed,
-                               knobs);
-      // Speedup vs the measured sequential row of the same config; stays
-      // null (never a fabricated 1.0) if that row is somehow absent.
-      for (const auto& base : results)
-        if (base.algo == "modified" && base.n == r.n && base.f == r.f &&
-            base.k == r.k && base.threads == 1 && base.seconds > 0.0) {
-          r.has_speedup = true;
-          r.speedup = base.seconds / r.seconds;
-          break;
-        }
-      results.push_back(r);
-    }
-  }
+    results.push_back(run_config("modified", c.n, c.f, c.k, reps, seed, knobs));
 
   // Exact greedy: the exponential baseline, feasible only on tiny inputs.
   const struct { std::size_t n; std::uint32_t f, k; } exact[] = {
       {16, 1, 2}, {16, 2, 2}, {32, 1, 2},
   };
   for (const auto& c : exact)
-    results.push_back(run_config("exact", c.n, c.f, c.k, 1, reps, seed, knobs));
+    results.push_back(run_config("exact", c.n, c.f, c.k, reps, seed, knobs));
 
-  Table table({"algo", "n", "m(G)", "f", "k", "thr", "m(H)", "secs", "speedup",
-               "oracle-calls", "sweeps", "spec-evals", "wasted-sweeps",
-               "batched", "tree-hits", "masked-hits", "repairs", "ov-windows",
-               "stolen", "arcs", "arena-B"});
+  Table table({"algo", "n", "m(G)", "f", "k", "m(H)", "secs", "oracle-calls",
+               "sweeps", "batched", "tree-hits", "masked-hits", "repairs",
+               "arcs", "arena-B"});
   for (const auto& r : results)
     table.add_row({r.algo, Table::num(r.n), Table::num(r.m),
                    Table::num(static_cast<long long>(r.f)),
                    Table::num(static_cast<long long>(r.k)),
-                   Table::num(static_cast<long long>(r.threads)),
                    Table::num(r.spanner_m), Table::num(r.seconds, 4),
-                   r.has_speedup ? Table::num(r.speedup, 2) : "-",
                    Table::num(static_cast<long long>(r.oracle_calls)),
                    Table::num(static_cast<long long>(r.sweeps)),
-                   Table::num(static_cast<long long>(r.spec_evals)),
-                   Table::num(static_cast<long long>(r.spec_wasted_sweeps)),
                    Table::num(static_cast<long long>(r.batched_sweeps)),
                    Table::num(static_cast<long long>(r.tree_reuse_hits)),
                    Table::num(static_cast<long long>(r.masked_reuse_hits)),
                    Table::num(static_cast<long long>(r.masked_tree_repairs)),
-                   Table::num(static_cast<long long>(r.overlap_windows)),
-                   Table::num(static_cast<long long>(r.stolen_chunks)),
                    Table::num(static_cast<long long>(r.arcs_traversed)),
                    Table::num(static_cast<long long>(r.arena_bytes))});
   table.print(std::cout);

@@ -1,7 +1,5 @@
 #include "core/lbc.h"
 
-#include <algorithm>
-
 #include "obs/obs.h"
 #include "util/check.h"
 
@@ -21,19 +19,10 @@ const obs::Gauge g_graft_wave("graft.wave.max");
 
 }  // namespace
 
-void LbcSolver::reserve(std::size_t n, std::size_t m) {
-  bfs_.reserve(n);
-  tree_bfs_.reserve(n);
-  vertex_cut_.ensure_universe(n);
-  edge_cut_.ensure_universe(m);
-  trace_mark_.ensure_universe(n);
-}
-
 LbcResult LbcSolver::decide(const Graph& g, VertexId u, VertexId v,
-                            std::uint32_t t, std::uint32_t alpha,
-                            LbcTrace* trace) {
+                            std::uint32_t t, std::uint32_t alpha) {
   batch_g_ = nullptr;  // a direct decision ends any open batch
-  return run_decision(g, u, v, t, alpha, trace, /*sweep0_from_tree=*/false);
+  return run_decision(g, u, v, t, alpha, /*sweep0_from_tree=*/false);
 }
 
 LbcResult LbcSolver::decide_weighted(const Graph& g, VertexId u, VertexId v,
@@ -105,14 +94,13 @@ void LbcSolver::begin_batch(const Graph& g, VertexId u,
   c_tree_sessions.add();
 }
 
-LbcResult LbcSolver::decide_batched(std::size_t index, std::uint32_t alpha,
-                                    LbcTrace* trace) {
+LbcResult LbcSolver::decide_batched(std::size_t index, std::uint32_t alpha) {
   FTSPAN_REQUIRE(batch_g_ != nullptr, "no open LBC batch");
   FTSPAN_REQUIRE(index < batch_targets_.size(), "LBC batch index out of range");
   FTSPAN_REQUIRE(batch_g_->m() == batch_m_,
                  "graph mutated during an LBC batch (re-begin_batch first)");
   return run_decision(*batch_g_, batch_u_, batch_targets_[index], batch_t_,
-                      alpha, trace, /*sweep0_from_tree=*/true);
+                      alpha, /*sweep0_from_tree=*/true);
 }
 
 void LbcSolver::extend_batch_after_accept(VertexId v, EdgeId via_edge) {
@@ -130,28 +118,24 @@ void LbcSolver::extend_batch_after_accept(VertexId v, EdgeId via_edge) {
 
 void LbcSolver::decide_batch(const Graph& g, VertexId u,
                              std::span<const VertexId> targets, std::uint32_t t,
-                             std::uint32_t alpha, std::span<LbcResult> results,
-                             LbcTrace* traces) {
+                             std::uint32_t alpha,
+                             std::span<LbcResult> results) {
   FTSPAN_REQUIRE(results.size() == targets.size(),
                  "LBC batch results must be sized like targets");
   begin_batch(g, u, targets, t);
   for (std::size_t j = 0; j < targets.size(); ++j)
-    results[j] = decide_batched(j, alpha, traces ? &traces[j] : nullptr);
+    results[j] = decide_batched(j, alpha);
 }
 
 LbcResult LbcSolver::run_decision(const Graph& g, VertexId u, VertexId v,
                                   std::uint32_t t, std::uint32_t alpha,
-                                  LbcTrace* trace, bool sweep0_from_tree) {
+                                  bool sweep0_from_tree) {
   FTSPAN_REQUIRE(u < g.n() && v < g.n(), "LBC terminal out of range");
   FTSPAN_REQUIRE(u != v, "LBC terminals must be distinct");
   FTSPAN_REQUIRE(t >= 1, "LBC requires t >= 1");
 
   vertex_cut_.ensure_universe(g.n());
   edge_cut_.ensure_universe(g.m());
-  if (trace != nullptr) {
-    trace_mark_.ensure_universe(g.n());
-    trace->expanded.clear();
-  }
 
   LbcResult result;
   result.cut.model = model_;
@@ -173,28 +157,20 @@ LbcResult LbcSolver::run_decision(const Graph& g, VertexId u, VertexId v,
     bool found;
     if (i == 0 && sweep0_from_tree) {
       // Sweep 0 of a batched decision: resume the shared terminal tree just
-      // far enough to settle v; the per-target expanded_prefix is the exact
-      // read set a dedicated search would have produced.
+      // far enough to settle v.
       const obs::ScopedSpan span("sweep", "tree_served", "target", v);
       ++batched_sweeps_;
       c_sweep_tree.add();
-      const BfsTreeAnswer answer = tree_bfs_.tree_next(v);
-      found = answer.dist <= t;
-      if (trace != nullptr)
-        for (const VertexId x :
-             tree_bfs_.last_visited().first(answer.expanded_prefix))
-          trace_mark_.set(x);
+      found = tree_bfs_.tree_next(v) <= t;
       if (found) tree_bfs_.path_arcs_to(v, path_);
     } else if (masked_tree && i > 0) {
-      // Masked sweep served from the repaired tree: distance, lex-min path,
-      // and read set are bit-identical to the dedicated BFS below.
+      // Masked sweep served from the repaired tree: distance and lex-min
+      // path are bit-identical to the dedicated BFS below.
       const obs::ScopedSpan span("sweep", "masked_repair_served", "target", v,
                                  "sweep", i);
       ++masked_sweeps_;
       c_sweep_masked.add();
-      const std::uint32_t dist = tree_bfs_.tree_masked_dist(v);
-      found = dist <= t;
-      if (trace != nullptr) mark_masked_trace(v, dist, t);
+      found = tree_bfs_.tree_masked_dist(v) <= t;
       if (found) tree_bfs_.tree_masked_path_arcs(v, path_);
     } else {
       // Sweep 0 runs before anything is cut; handing the BFS an empty view
@@ -212,8 +188,6 @@ LbcResult LbcSolver::run_decision(const Graph& g, VertexId u, VertexId v,
         ++dedicated_masked_sweeps_;
         dedicated_masked_arcs_ += bfs_.arcs_scanned() - before;
       }
-      if (trace != nullptr)
-        for (const VertexId x : bfs_.last_expanded()) trace_mark_.set(x);
     }
     if (!found) {
       result.yes = true;
@@ -261,35 +235,7 @@ LbcResult LbcSolver::run_decision(const Graph& g, VertexId u, VertexId v,
   result.cut.ids.assign(touched.begin(), touched.end());
   vertex_cut_.reset_touched();
   edge_cut_.reset_touched();
-  if (trace != nullptr) {
-    const auto marked = trace_mark_.touched();
-    trace->expanded.assign(marked.begin(), marked.end());
-    std::sort(trace->expanded.begin(), trace->expanded.end());
-    trace_mark_.reset_touched();
-  }
   return result;
-}
-
-void LbcSolver::mark_masked_trace(VertexId v, std::uint32_t dist,
-                                  std::uint32_t t) {
-  // Reconstructs the dedicated BFS's exact expanded prefix from the repaired
-  // tree: everything strictly shallower than the target settles first, and
-  // within the target's own level the vertices popped before it are exactly
-  // those whose lex-min chain precedes the target's (discovery order).
-  // Unreachable targets expand the whole masked < t ball (the deepest level
-  // is frontier-pruned and never scanned).
-  const bool found = dist <= t;
-  const std::uint32_t below = found ? dist : t;
-  const bool level_part = found && dist < t;
-  for (const VertexId x : tree_bfs_.last_visited()) {
-    const std::uint32_t md = tree_bfs_.tree_masked_dist(x);
-    if (md < below) {
-      trace_mark_.set(x);
-    } else if (level_part && md == dist && x != v &&
-               tree_bfs_.tree_masked_before(x, v)) {
-      trace_mark_.set(x);
-    }
-  }
 }
 
 LbcResult lbc_decide(const Graph& g, VertexId u, VertexId v, std::uint32_t t,

@@ -33,15 +33,6 @@ struct LbcResult {
   std::uint32_t sweeps = 0;
 };
 
-/// Read-set record of one decision, for speculative execution (src/exec/).
-struct LbcTrace {
-  /// Union over all sweeps of the vertices the BFS *expanded* (popped and
-  /// scanned), sorted ascending.  Appending an edge to g whose endpoints
-  /// both lie outside this set cannot change the decision: no sweep ever
-  /// reads the arc rows that grew, so a replay is bit-identical.
-  std::vector<VertexId> expanded;
-};
-
 /// Reusable Algorithm 2 engine.  Holds scratch masks and a BFS workspace so
 /// the modified greedy can issue Theta(m) decisions without reallocation.
 class LbcSolver {
@@ -55,16 +46,15 @@ class LbcSolver {
   /// against the shared terminal tree, repaired in place as the decision's
   /// cut grows (BfsRunner::tree_repair_cut) and rolled back at decision end,
   /// instead of one dedicated masked BFS per sweep.  Decisions,
-  /// certificates, sweep counts, and traces are bit-identical either way
+  /// certificates, and sweep counts are bit-identical either way
   /// (tests/differential_test.cpp pins this against the dedicated oracle).
   void set_masked_tree(bool on) noexcept { masked_tree_ = on; }
   [[nodiscard]] bool masked_tree() const noexcept { return masked_tree_; }
 
   /// Decides LBC(t, alpha) for terminals u, v on g.
   /// Requires u != v, both in range, t >= 1.
-  /// When `trace` is non-null, also records the decision's read set into it.
   LbcResult decide(const Graph& g, VertexId u, VertexId v, std::uint32_t t,
-                   std::uint32_t alpha, LbcTrace* trace = nullptr);
+                   std::uint32_t alpha);
 
   /// Algorithm 2 under a *weight* budget instead of a hop budget: sweeps are
   /// Dijkstra searches over the real edge weights, and "short" means total
@@ -91,11 +81,11 @@ class LbcSolver {
   // whose target already settled gets its sweep 0 for free.  Sweeps >= 1
   // accumulate a per-decision cut and run individually, unshared.
   //
-  // Results, certificates, sweep counts, and (when requested) traces are
-  // bit-identical to calling decide() for each pair — enforced by
-  // tests/lbc_batch_test.cpp.  The caller must not mutate g between
-  // begin_batch and the last decide_batched; accepting an edge therefore
-  // ends the batch (both greedy engines re-begin on the remaining targets).
+  // Results, certificates, and sweep counts are bit-identical to calling
+  // decide() for each pair — enforced by tests/lbc_batch_test.cpp.  The
+  // caller must not mutate g between begin_batch and the last
+  // decide_batched; accepting an edge therefore ends the batch (the greedy
+  // re-begins on the remaining targets, or grafts when alpha == 0).
 
   /// Opens a batch of decisions (u, targets[j]) on g.  O(|targets|); the
   /// shared tree expands lazily inside decide_batched.
@@ -103,9 +93,8 @@ class LbcSolver {
                    std::span<const VertexId> targets, std::uint32_t t);
 
   /// Decides LBC(t, alpha) for (u, targets[index]) of the open batch.
-  /// Bit-identical to decide(g, u, targets[index], t, alpha, trace).
-  LbcResult decide_batched(std::size_t index, std::uint32_t alpha,
-                           LbcTrace* trace = nullptr);
+  /// Bit-identical to decide(g, u, targets[index], t, alpha).
+  LbcResult decide_batched(std::size_t index, std::uint32_t alpha);
 
   /// Continues the open batch across an accepted edge — alpha == 0 only.
   /// The caller has just appended edge (u, v) to the batch graph (v the
@@ -113,26 +102,18 @@ class LbcSolver {
   /// shared tree is grafted in place (BfsRunner::tree_insert_source_arc), so
   /// the remaining decide_batched calls skip the full re-expansion an accept
   /// used to cost.  Valid only for alpha == 0 decisions: the graft maintains
-  /// exact distances but not the lex-min paths/traces sweeps >= 1 and trace
-  /// consumers read.  Decisions stay bit-identical to re-beginning (pinned
-  /// by tests/lbc_batch_test.cpp and the f=0 differential suite).
+  /// exact distances but not the lex-min paths sweeps >= 1 read.  Decisions
+  /// stay bit-identical to re-beginning (pinned by tests/lbc_batch_test.cpp
+  /// and the f=0 differential suite).
   void extend_batch_after_accept(VertexId v, EdgeId via_edge);
 
   /// Convenience wrapper: begin_batch + decide_batched for every target,
-  /// filling `results` (sized like targets) and, when non-null, `traces`
-  /// (ditto).  For one-shot callers that decide a whole batch against one
-  /// frozen H; the greedy engines use the stateful pair directly so they
-  /// can stop early on an accept (sequential) or write straight into their
-  /// window slots (speculative).
+  /// filling `results` (sized like targets).  For one-shot callers that
+  /// decide a whole batch against one frozen H; the greedy uses the stateful
+  /// pair directly so it can stop early on an accept.
   void decide_batch(const Graph& g, VertexId u,
                     std::span<const VertexId> targets, std::uint32_t t,
-                    std::uint32_t alpha, std::span<LbcResult> results,
-                    LbcTrace* traces = nullptr);
-
-  /// Pre-sizes all scratch state for a graph with `n` vertices and up to `m`
-  /// edges, so subsequent decide() calls allocate nothing (per-thread arena
-  /// warm-up in src/exec/).
-  void reserve(std::size_t n, std::size_t m);
+                    std::uint32_t alpha, std::span<LbcResult> results);
 
   /// Total BFS sweeps across all decisions (instrumentation).
   [[nodiscard]] std::uint64_t total_sweeps() const noexcept {
@@ -212,20 +193,18 @@ class LbcSolver {
   }
 
   /// Bytes held by this solver's search workspace: the runners' slab
-  /// arenas plus the cut/trace masks and the path buffer.  The per-worker
-  /// term behind SpannerBuildStats::arena_bytes.
+  /// arenas plus the cut masks and the path buffer — the value behind
+  /// SpannerBuildStats::arena_bytes.
   [[nodiscard]] std::size_t arena_bytes() const noexcept {
     return bfs_.arena_bytes() + tree_bfs_.arena_bytes() +
            dijkstra_.arena_bytes() + vertex_cut_.bytes().size() +
-           edge_cut_.bytes().size() + trace_mark_.bytes().size() +
-           path_.capacity() * sizeof(PathStep);
+           edge_cut_.bytes().size() + path_.capacity() * sizeof(PathStep);
   }
 
  private:
   LbcResult run_decision(const Graph& g, VertexId u, VertexId v,
-                         std::uint32_t t, std::uint32_t alpha, LbcTrace* trace,
+                         std::uint32_t t, std::uint32_t alpha,
                          bool sweep0_from_tree);
-  void mark_masked_trace(VertexId v, std::uint32_t dist, std::uint32_t t);
 
   FaultModel model_;
   bool masked_tree_ = false;
@@ -234,7 +213,6 @@ class LbcSolver {
   DijkstraRunner dijkstra_;  ///< serves decide_weighted sweeps only
   ScratchMask vertex_cut_;
   ScratchMask edge_cut_;
-  ScratchMask trace_mark_;  ///< dedups expanded vertices across sweeps
   std::vector<PathStep> path_;
   std::uint64_t total_sweeps_ = 0;
   std::uint64_t trees_built_ = 0;

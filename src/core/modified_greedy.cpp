@@ -4,8 +4,6 @@
 #include <numeric>
 
 #include "core/lbc.h"
-#include "exec/speculative_greedy.h"
-#include "exec/thread_pool.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -53,14 +51,6 @@ SpannerBuild modified_greedy_spanner(const Graph& g, const SpannerParams& params
   const Timer timer;
   const auto order = scan_order(g, config.order, config.shuffle_seed);
 
-  const std::uint32_t threads = exec::resolve_threads(config.exec.threads);
-  if (threads > 1) {
-    SpannerBuild build =
-        exec::speculative_greedy_spanner(g, params, config, order, threads);
-    build.stats.seconds = timer.seconds();
-    return build;
-  }
-
   SpannerBuild build;
   build.spanner = Graph(g.n(), g.weighted());
   LbcSolver lbc(params.model);
@@ -103,7 +93,7 @@ SpannerBuild modified_greedy_spanner(const Graph& g, const SpannerParams& params
     while (j - i > 1) {
       // One shared tree serves the run until a decision accepts; accepting
       // grows H, so the remaining targets re-begin against the new H —
-      // exactly the decision the per-edge engine would have made there.
+      // exactly the decision a per-edge scan would have made there.
       // With alpha == 0 the re-begin is skipped: the accepted edge is
       // grafted into the tree instead (bit-identical decisions, since an
       // alpha-0 decision consumes only the distance answer).

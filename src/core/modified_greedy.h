@@ -44,20 +44,16 @@ struct ModifiedGreedyConfig {
   /// (stats.masked_reuse_hits counts the eliminated BFS runs); the switch
   /// exists for A/B benchmarks and the differential tests.
   bool masked_tree = true;
-  /// Parallel execution policy.  threads > 1 (or 0 = auto) routes the scan
-  /// through the speculative-evaluate / sequential-commit engine in
-  /// src/exec/, which picks the bit-identical edge set at any thread count.
-  ExecPolicy exec;
   /// Hop budget handed to every LBC(t, f) decision; 0 = the paper's
   /// t = 2k - 1 (params.stretch()).  Set by the (alpha, beta)-greedy front
   /// end (src/spanner/alpha_beta.h), whose unweighted test "exists a path of
-  /// <= floor(alpha + beta) hops" is Algorithm 2 under a different budget —
-  /// both engines (sequential and speculative) read the override, so the
-  /// generalized scan keeps the bit-identical-at-any-thread-count contract.
+  /// <= floor(alpha + beta) hops" is Algorithm 2 under a different budget.
   std::uint32_t hop_budget = 0;
 };
 
-/// Runs the modified greedy (Algorithm 4; Algorithm 3 via config.order).
+/// Runs the modified greedy (Algorithm 4; Algorithm 3 via config.order) as
+/// one sequential scan: every decision reads the H that all earlier accepts
+/// built, which is what Lemma 6's blocking-set argument needs.
 [[nodiscard]] SpannerBuild modified_greedy_spanner(
     const Graph& g, const SpannerParams& params,
     const ModifiedGreedyConfig& config = {});

@@ -7,10 +7,6 @@
 #include "graph/types.h"
 #include "util/check.h"
 
-namespace ftspan::exec {
-class ThreadPool;  // src/exec/thread_pool.h
-}  // namespace ftspan::exec
-
 namespace ftspan {
 
 /// Order in which the greedy algorithms scan the edges of G.
@@ -22,37 +18,6 @@ enum class EdgeOrder : std::uint8_t {
   by_weight_desc,  ///< Nonincreasing weight — deliberately unsound on weighted
                    ///< graphs; exists for the E12 ordering ablation.
   random,          ///< Uniform shuffle (valid for unweighted inputs).
-};
-
-/// Execution policy for engines that can evaluate independent oracle calls
-/// in parallel (the modified greedy and verify_sampled; see src/exec/).
-/// Every setting yields bit-identical results — the speculative engine
-/// commits decisions in scan order and re-evaluates any decision an accepted
-/// edge could have changed, and the verifier folds per-trial reports in
-/// trial order.
-struct ExecPolicy {
-  /// Worker threads the engine may use (the calling thread counts as one).
-  /// 1 = plain sequential scan; 0 = one worker per hardware thread.
-  std::uint32_t threads = 1;
-  /// Fixed speculation window size; 0 = adaptive (recommended — grows on
-  /// full commits, shrinks on invalidation aborts).
-  std::uint32_t window = 0;
-  /// Pipeline the commit phase with the next window's evaluation: workers
-  /// evaluate window i+1 against the last-committed H snapshot while the
-  /// calling thread commits window i (double-buffered windows).  Results are
-  /// bit-identical either way — invalidation is still driven by the exact
-  /// per-decision read sets; the switch exists for A/B benchmarks and the
-  /// differential tests.
-  bool overlap = true;
-  /// Split dominant terminal batches into claimable chunks on the pool so a
-  /// long same-endpoint run no longer pins one worker while the rest idle
-  /// (work stealing via the pool's chunk cursor).  Bit-identical results;
-  /// only the physical tree-reuse counters change.  A/B switch.
-  bool steal = true;
-  /// Pool the engine fans work over.  nullptr = the process-wide shared pool
-  /// (exec::shared_pool()), grown on demand; engines never spawn a private
-  /// pool per build.  Set to run against a caller-owned exec::ThreadPool.
-  exec::ThreadPool* pool = nullptr;
 };
 
 /// Parameters of an f-fault-tolerant (2k-1)-spanner construction.

@@ -17,35 +17,19 @@ struct SpannerBuildStats {
   /// modified greedy, fault-set searches for the exact greedy.
   std::uint64_t oracle_calls = 0;
   /// Individual BFS/Dijkstra sweeps performed inside those decisions.
-  /// The speculative engine counts only committed decisions here, so the
-  /// value matches the sequential engine at any thread count.
   std::uint64_t search_sweeps = 0;
   /// Wall-clock construction time.
   double seconds = 0.0;
-  /// Worker threads the engine used (1 = sequential scan).
-  std::uint32_t threads = 1;
-  /// Speculative evaluations issued by the parallel engine (0 when the
-  /// sequential engine ran).  oracle_calls / spec_evaluated is the
-  /// speculation hit rate.
-  std::uint64_t spec_evaluated = 0;
-  /// BFS sweeps spent on evaluations that an accepted edge invalidated.
-  std::uint64_t spec_wasted_sweeps = 0;
-  /// Evaluate/commit rounds the parallel engine ran.
-  std::uint64_t spec_windows = 0;
   /// Sweep-0 decisions answered through a shared terminal tree (terminal-
-  /// batched LBC).  Sequentially every such decision commits and counts 1
-  /// in search_sweeps; the speculative engine counts *evaluations* here
-  /// (like spec_evaluated), so invalidated-and-re-evaluated decisions
-  /// contribute more than once while search_sweeps stays committed-only.
+  /// batched LBC); each also counts 1 in search_sweeps.
   std::uint64_t batched_sweeps = 0;
   /// Dedicated sweep-0 BFS runs saved by tree sharing: batched decisions
-  /// beyond the first of each tree session.  Sequentially, physical sweep-0
-  /// runs = logical sweeps - tree_reuse_hits; under speculation the saving
-  /// applies to evaluated (committed + wasted) sweeps instead.
+  /// beyond the first of each tree session, so physical sweep-0 runs =
+  /// logical sweeps - tree_reuse_hits.
   std::uint64_t tree_reuse_hits = 0;
   /// Masked sweeps (>= 1) served from the incrementally repaired shared
   /// tree instead of a dedicated masked BFS — the masked-tree analogue of
-  /// tree_reuse_hits (same committed-vs-evaluated caveat under speculation).
+  /// tree_reuse_hits.
   std::uint64_t masked_reuse_hits = 0;
   /// In-place terminal-tree repairs applied under growing cuts.
   std::uint64_t masked_tree_repairs = 0;
@@ -53,22 +37,12 @@ struct SpannerBuildStats {
   /// terminal tree (alpha == 0 fast path) — each one is a full tree
   /// re-expansion eliminated.  0 whenever f >= 1.
   std::uint64_t tree_extends = 0;
-  /// Windows whose evaluation overlapped the previous window's commit phase
-  /// (the double-buffered pipeline; 0 sequentially or with overlap off).
-  /// Includes overlapped windows later discarded by an invalidation abort.
-  std::uint64_t overlap_windows = 0;
-  /// Extra claimable chunks split off dominant terminal batches so idle
-  /// workers could steal them (chunks beyond the first per split batch;
-  /// 0 with stealing off).
-  std::uint64_t stolen_chunks = 0;
-  /// Adjacency arcs scanned across every search the build ran (committed
-  /// AND speculative work, summed over all workers): the measured work term
-  /// of the paper's O(f^{1-1/k} n^{1/k} m) runtime — the E16 scale bench's
-  /// arcs-traversed column.  Unlike search_sweeps this is NOT thread-count
-  /// invariant; wasted speculation shows up here.
+  /// Adjacency arcs scanned across every search the build ran: the measured
+  /// work term of the paper's O(f^{1-1/k} n^{1/k} m) runtime — the E16 scale
+  /// bench's arcs-traversed column.
   std::uint64_t arcs_traversed = 0;
   /// Bytes held by the search arenas at build end (slab-quantized runner
-  /// state, cut masks, path buffers; summed over all workers).
+  /// state, cut masks, path buffers).
   std::uint64_t arena_bytes = 0;
   /// Arcs scanned by the masked-tree repair machinery (Even-Shiloach waves
   /// plus lazy lex-min tournaments) — the in-place price of the

@@ -1,7 +1,5 @@
 #include "exec/thread_pool.h"
 
-#include <utility>
-
 #include "obs/obs.h"
 
 namespace ftspan::exec {
@@ -10,30 +8,6 @@ namespace {
 
 const obs::Counter c_pool_rounds("pool.rounds.dispatched");
 const obs::Counter c_pool_tasks("pool.tasks.executed");
-
-/// Pool this thread is currently executing a task of (nullptr outside task
-/// bodies) and its worker index in that round.  Lets run()/submit() detect
-/// reentrant calls from a worker and execute inline — under the worker's
-/// real index, so index-keyed per-worker state (arenas) never aliases —
-/// instead of deadlocking on the round slot.
-thread_local const ThreadPool* tl_active_pool = nullptr;
-thread_local unsigned tl_active_worker = 0;
-
-/// Scoped tl_active_pool/tl_active_worker setter (tasks may nest across
-/// different pools).
-struct ActivePoolGuard {
-  ActivePoolGuard(const ThreadPool* pool, unsigned worker) noexcept
-      : saved_pool(tl_active_pool), saved_worker(tl_active_worker) {
-    tl_active_pool = pool;
-    tl_active_worker = worker;
-  }
-  ~ActivePoolGuard() {
-    tl_active_pool = saved_pool;
-    tl_active_worker = saved_worker;
-  }
-  const ThreadPool* saved_pool;
-  unsigned saved_worker;
-};
 
 }  // namespace
 
@@ -73,7 +47,6 @@ void ThreadPool::ensure_workers(std::uint32_t threads) {
 }
 
 void ThreadPool::work(unsigned worker, const Task& fn, std::size_t n) {
-  const ActivePoolGuard guard(this, worker);
   obs::ScopedSpan span("pool", "work");
   std::uint64_t executed = 0;
   for (;;) {
@@ -107,7 +80,7 @@ void ThreadPool::worker_loop(unsigned worker, std::uint64_t seen) {
       limit = job_limit_;
     }
     // Workers beyond the round's participant cap skip the job but still
-    // acknowledge the generation, so wait()/cancel() can wait on busy_ alone.
+    // acknowledge the generation, so run() can wait on busy_ alone.
     if (worker < limit) work(worker, *job, n);
     {
       std::lock_guard lk(mu_);
@@ -117,38 +90,19 @@ void ThreadPool::worker_loop(unsigned worker, std::uint64_t seen) {
   }
 }
 
-/// Drains a dispatched round: optionally helps as worker 0, waits for every
-/// pool worker to acknowledge, clears the job, and surfaces the first error.
-void ThreadPool::finish_round(bool help, const Task* fn, std::size_t n) {
-  if (help) work(0, *fn, n);
-  std::exception_ptr error;
-  {
-    std::unique_lock lk(mu_);
-    done_cv_.wait(lk, [&] { return busy_ == 0; });
-    job_ = nullptr;
-    error = error_;
-    error_ = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-ThreadPool::Round ThreadPool::submit(std::size_t n, const Task& fn,
-                                     std::uint32_t max_workers) {
-  if (n == 0) return {};
-  if (max_workers < 1) max_workers = 1;
-  // Reentrant submit from one of this pool's own tasks must not touch the
-  // round slot (it is held by the outer round); defer the body to wait().
-  if (tl_active_pool == this)
-    return Round(this, &fn, n, /*dispatched=*/false, {});
+void ThreadPool::run(std::size_t n, const Task& fn, std::uint32_t max_workers) {
+  if (n == 0) return;
   std::size_t spawned;
   {
     std::lock_guard lk(mu_);
     spawned = workers_.size();
   }
-  if (spawned == 0 || n == 1 || max_workers == 1)
-    return Round(this, &fn, n, /*dispatched=*/false, {});
+  if (spawned == 0 || n == 1 || max_workers <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(0, i);
+    return;
+  }
 
-  std::unique_lock round(run_mu_);
+  const std::lock_guard round(run_mu_);
   {
     std::lock_guard lk(mu_);
     job_ = &fn;
@@ -160,90 +114,17 @@ ThreadPool::Round ThreadPool::submit(std::size_t n, const Task& fn,
   }
   start_cv_.notify_all();
   c_pool_rounds.add();
-  return Round(this, &fn, n, /*dispatched=*/true, std::move(round));
-}
 
-void ThreadPool::run(std::size_t n, const Task& fn, std::uint32_t max_workers) {
-  if (n == 0) return;
-  if (tl_active_pool == this) {
-    // Reentrant run from a task of this pool: execute inline under this
-    // worker's real index (so per-worker state keyed by it never aliases
-    // another worker's) instead of deadlocking on the round slot.
-    const unsigned worker = tl_active_worker;
-    for (std::size_t i = 0; i < n; ++i) fn(worker, i);
-    return;
+  work(0, fn, n);
+  std::exception_ptr error;
+  {
+    std::unique_lock lk(mu_);
+    done_cv_.wait(lk, [&] { return busy_ == 0; });
+    job_ = nullptr;
+    error = error_;
+    error_ = nullptr;
   }
-  Round round = submit(n, fn, max_workers);
-  round.wait();
-}
-
-// ------------------------------------------------------------------ Round
-
-ThreadPool::Round::Round(Round&& other) noexcept
-    : pool_(std::exchange(other.pool_, nullptr)),
-      fn_(other.fn_),
-      n_(other.n_),
-      dispatched_(other.dispatched_),
-      round_lock_(std::move(other.round_lock_)) {}
-
-ThreadPool::Round& ThreadPool::Round::operator=(Round&& other) noexcept {
-  if (this != &other) {
-    if (pool_ != nullptr && dispatched_) {
-      try {
-        resolve(/*help=*/true);
-      } catch (...) {  // destructor semantics: errors need an explicit wait()
-      }
-    }
-    pool_ = std::exchange(other.pool_, nullptr);
-    fn_ = other.fn_;
-    n_ = other.n_;
-    dispatched_ = other.dispatched_;
-    round_lock_ = std::move(other.round_lock_);
-  }
-  return *this;
-}
-
-ThreadPool::Round::~Round() {
-  if (pool_ == nullptr) return;
-  if (!dispatched_) return;  // nothing started; drop the deferred body
-  try {
-    resolve(/*help=*/true);
-  } catch (...) {  // errors need an explicit wait() to observe
-  }
-}
-
-/// Shared tail of wait()/cancel()/~Round for dispatched rounds.
-void ThreadPool::Round::resolve(bool help) {
-  ThreadPool* pool = std::exchange(pool_, nullptr);
-  std::unique_lock round = std::move(round_lock_);
-  pool->finish_round(help, fn_, n_);  // may rethrow; round slot still freed
-}
-
-void ThreadPool::Round::wait() {
-  if (pool_ == nullptr) return;
-  if (!dispatched_) {
-    // Nothing was dispatched; the whole round runs inline here (exceptions
-    // propagate directly, matching the synchronous run() fast path).  A
-    // reentrant submit keeps the enclosing task's worker index.
-    ThreadPool* pool = std::exchange(pool_, nullptr);
-    const unsigned worker = tl_active_pool == pool ? tl_active_worker : 0;
-    const ActivePoolGuard guard(pool, worker);
-    for (std::size_t i = 0; i < n_; ++i) (*fn_)(worker, i);
-    return;
-  }
-  resolve(/*help=*/true);
-}
-
-void ThreadPool::Round::cancel() {
-  if (pool_ == nullptr) return;
-  if (!dispatched_) {  // never started: drop it outright
-    pool_ = nullptr;
-    return;
-  }
-  // Exhaust the chunk cursor so unclaimed chunks never start; in-flight
-  // chunks finish normally and are awaited below.
-  pool_->next_.store(n_, std::memory_order_relaxed);
-  resolve(/*help=*/false);
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& shared_pool() {

@@ -1,42 +1,26 @@
-// Fork-join worker pool for the parallel oracle engines.
+// Fork-join worker pool for the verifier's fault-set storms.
 //
-// The pool is built for the speculative greedy's phase structure: thousands
-// of short evaluate-rounds, each a parallel-for over a small window of oracle
-// calls, alternating with commit phases on the calling thread.  Tasks are
-// claimed one at a time from an atomic chunk cursor (oracle calls vary wildly
-// in cost, so static chunking would stall the round on its slowest shard) —
-// this is also what makes terminal-batch work stealing work: the engine
-// splits a dominant batch into many claimable chunks and idle workers drain
-// them dynamically.  Workers persist across rounds parked on a condition
+// verify_fault_sets (and through it verify_sampled, verify_scenario and
+// ChurnSpanner::oracle_check) checks independent fault sets, one task each.
+// Tasks are claimed one at a time from an atomic chunk cursor: fault sets
+// vary widely in cost, so static chunking would stall the round on its
+// slowest shard.  Workers persist across rounds parked on a condition
 // variable.
 //
-// Rounds come in two flavors:
-//   * run(n, fn)      — synchronous: the caller participates as worker 0 and
-//                       returns only when every task finished.
-//   * submit(n, fn)   — asynchronous: pool workers start claiming immediately
-//                       and the caller returns with a Round handle.  The
-//                       caller overlaps its own work (the commit phase of the
-//                       pipelined greedy) with the round, then either
-//                       Round::wait() — join the round as worker 0, help
-//                       drain the remaining chunks, and block until done — or
-//                       Round::cancel() — stop unclaimed chunks from
-//                       starting and wait out the in-flight ones.
+// run(n, fn) is synchronous: the caller participates as worker 0 and returns
+// only when every task finished.
 //
-// Pools are meant to be SHARED: spawning a pool per build pays thread
-// start-up on every call, so engines default to the process-wide
+// Pools are meant to be SHARED: spawning a pool per storm pays thread
+// start-up on every call, so the verifier uses the process-wide
 // shared_pool(), which grows on demand (ensure_workers) and is reused by
-// every build and verification in the process.  run()/submit() may be called
-// from any thread; concurrent rounds on one pool serialize against each
-// other (a submitted round holds the round slot until waited/cancelled, and
-// both must happen on the submitting thread).  A task MAY call run() on its
-// own pool: the reentrant call is detected and executed inline on that
-// worker, so nested parallelism degrades to sequential instead of
-// deadlocking.
+// every verification in the process.  run() may be called from any thread;
+// concurrent rounds on one pool serialize against each other.  A task must
+// not call run() on its own pool (the nested round would wait forever for
+// the round slot its caller holds); no task in the library does.
 //
-// Memory model: everything a task writes is visible to the caller when
-// run()/wait()/cancel() returns, and everything the caller wrote before
-// run()/submit() is visible to the tasks — the generation handshake is
-// mutex-protected on both edges.
+// Memory model: everything a task writes is visible to the caller when run()
+// returns, and everything the caller wrote before run() is visible to the
+// tasks — the generation handshake is mutex-protected on both edges.
 
 #pragma once
 
@@ -52,8 +36,8 @@
 
 namespace ftspan::exec {
 
-/// Resolves an ExecPolicy thread request: 0 means one worker per hardware
-/// thread (at least 1); any other value is taken literally.
+/// Resolves a thread request: 0 means one worker per hardware thread (at
+/// least 1); any other value is taken literally.
 [[nodiscard]] std::uint32_t resolve_threads(std::uint32_t requested) noexcept;
 
 /// Persistent fork-join pool of workers (the thread calling run() counts as
@@ -69,55 +53,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Handle to an asynchronously submitted round (see submit()).  Move-only;
-  /// destroying an unresolved Round waits for it (errors swallowed — resolve
-  /// explicitly with wait() to observe task exceptions).  wait(), cancel(),
-  /// and the destructor must run on the thread that called submit().
-  class Round {
-   public:
-    Round() = default;
-    Round(Round&& other) noexcept;
-    Round& operator=(Round&& other) noexcept;
-    ~Round();
-
-    /// True until wait() or cancel() resolves the round.
-    [[nodiscard]] bool active() const noexcept { return pool_ != nullptr; }
-
-    /// True while pool workers are executing the round concurrently; false
-    /// for a deferred round whose whole body runs inline at wait().
-    [[nodiscard]] bool dispatched() const noexcept {
-      return pool_ != nullptr && dispatched_;
-    }
-
-    /// Joins the round as worker 0 — the caller helps drain the remaining
-    /// chunks — then blocks until every chunk finished.  Rethrows the first
-    /// exception a task threw.
-    void wait();
-
-    /// Prevents unclaimed chunks from starting, waits for the in-flight
-    /// ones, and rethrows the first exception a task threw.  Chunks that
-    /// never ran are simply dropped — the caller's per-slot bookkeeping
-    /// tells it which ones executed.
-    void cancel();
-
-   private:
-    friend class ThreadPool;
-    Round(ThreadPool* pool, const Task* fn, std::size_t n, bool dispatched,
-          std::unique_lock<std::mutex> lock) noexcept
-        : pool_(pool),
-          fn_(fn),
-          n_(n),
-          dispatched_(dispatched),
-          round_lock_(std::move(lock)) {}
-    void resolve(bool help);
-
-    ThreadPool* pool_ = nullptr;
-    const Task* fn_ = nullptr;  ///< deferred body when !dispatched_
-    std::size_t n_ = 0;
-    bool dispatched_ = false;  ///< pool workers are executing the round
-    std::unique_lock<std::mutex> round_lock_;  ///< holds the round slot
-  };
-
   /// Total workers, including the thread that calls run().
   [[nodiscard]] std::uint32_t threads() const noexcept;
 
@@ -128,24 +63,13 @@ class ThreadPool {
 
   /// Runs fn for every index in [0, n) and returns when all are done; each
   /// index runs exactly once.  At most `max_workers` workers participate
-  /// (the caller, as worker 0, plus the lowest-numbered pool workers), so an
-  /// engine asked for fewer threads than the shared pool holds stays within
+  /// (the caller, as worker 0, plus the lowest-numbered pool workers), so a
+  /// caller asking for fewer threads than the shared pool holds stays within
   /// its budget.  The first exception a task throws is rethrown here
   /// (remaining tasks still run).  Callable from any thread; concurrent
-  /// calls serialize.  Reentrant calls from inside a task of this pool
-  /// execute inline on that worker.
+  /// calls serialize.
   void run(std::size_t n, const Task& fn,
            std::uint32_t max_workers = kAllWorkers);
-
-  /// Starts an asynchronous round: pool workers (up to `max_workers - 1` of
-  /// them, leaving worker slot 0 for the caller) begin claiming chunks
-  /// immediately, and the caller gets a Round to wait()/cancel() on — both
-  /// on this same thread.  `fn` must outlive the Round's resolution.  With
-  /// no spawned workers (or max_workers == 1, or from inside a task of this
-  /// pool) nothing is dispatched: the whole round runs inline at wait(), and
-  /// cancel() drops it entirely.
-  [[nodiscard]] Round submit(std::size_t n, const Task& fn,
-                             std::uint32_t max_workers = kAllWorkers);
 
   static constexpr std::uint32_t kAllWorkers =
       std::numeric_limits<std::uint32_t>::max();
@@ -153,7 +77,6 @@ class ThreadPool {
  private:
   void worker_loop(unsigned worker, std::uint64_t seen);
   void work(unsigned worker, const Task& fn, std::size_t n);
-  void finish_round(bool help, const Task* fn, std::size_t n);
 
   std::vector<std::thread> workers_;      // guarded by mu_ (growth)
   std::mutex run_mu_;                     // serializes whole rounds
@@ -170,10 +93,10 @@ class ThreadPool {
   std::atomic<std::size_t> next_{0};      // the chunk cursor tasks claim from
 };
 
-/// The process-wide pool every engine shares by default (ExecPolicy::pool ==
-/// nullptr).  Created lazily with no spawned workers; engines grow it to
-/// their resolved thread count with ensure_workers, so the first parallel
-/// build pays thread start-up once for the whole process.
+/// The process-wide pool the verifier shares.  Created lazily with no
+/// spawned workers; callers grow it to their resolved thread count with
+/// ensure_workers, so the first parallel storm pays thread start-up once for
+/// the whole process.
 [[nodiscard]] ThreadPool& shared_pool();
 
 }  // namespace ftspan::exec

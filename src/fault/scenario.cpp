@@ -346,7 +346,7 @@ FaultSet FaultScenario::draw_cascade(Rng& rng) {
 StretchReport verify_scenario(const Graph& g, const Graph& h,
                               const SpannerParams& params,
                               const ScenarioSpec& spec, std::uint32_t trials,
-                              Rng& rng, const ExecPolicy& exec,
+                              Rng& rng, std::uint32_t threads,
                               std::vector<FaultSet>* sets_out) {
   params.validate();
   FaultScenario scenario(g, h, params, spec);
@@ -357,7 +357,7 @@ StretchReport verify_scenario(const Graph& g, const Graph& h,
   sets.push_back(FaultSet{params.model, {}});
   for (std::uint32_t trial = 0; trial < trials; ++trial)
     sets.push_back(scenario.draw(trial, rng));
-  StretchReport report = verify_fault_sets(g, h, params, sets, exec);
+  StretchReport report = verify_fault_sets(g, h, params, sets, threads);
   if (sets_out != nullptr) *sets_out = std::move(sets);
   return report;
 }

@@ -142,15 +142,15 @@ class FaultScenario {
 /// least be a plain spanner) checked against every surviving G-edge and
 /// folded in trial order.  Exactly the verify_sampled execution contract:
 /// draws consume `rng` sequentially up front, trials fan over the shared
-/// pool when exec.threads != 1, and the report — including the worst
-/// witness — is bit-identical at any thread count.  When `sets_out` is not
-/// null it receives the drawn sets (index 0 = the empty set), aligned with
-/// `per_trial` of verify_fault_sets.
+/// pool when threads != 1 (0 = one per hardware thread), and the report —
+/// including the worst witness — is bit-identical at any thread count.
+/// When `sets_out` is not null it receives the drawn sets (index 0 = the
+/// empty set), aligned with `per_trial` of verify_fault_sets.
 [[nodiscard]] StretchReport verify_scenario(const Graph& g, const Graph& h,
                                             const SpannerParams& params,
                                             const ScenarioSpec& spec,
                                             std::uint32_t trials, Rng& rng,
-                                            const ExecPolicy& exec = {},
+                                            std::uint32_t threads = 1,
                                             std::vector<FaultSet>* sets_out =
                                                 nullptr);
 

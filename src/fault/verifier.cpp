@@ -147,10 +147,10 @@ StretchReport verify_exhaustive(const Graph& g, const Graph& h,
 StretchReport verify_fault_sets(const Graph& g, const Graph& h,
                                 const SpannerParams& params,
                                 std::span<const FaultSet> sets,
-                                const ExecPolicy& exec,
+                                std::uint32_t threads,
                                 std::vector<StretchReport>* per_set) {
   params.validate();
-  const std::uint32_t threads = exec::resolve_threads(exec.threads);
+  threads = exec::resolve_threads(threads);
   std::vector<StretchReport> local;
   std::vector<StretchReport>& partial = per_set != nullptr ? *per_set : local;
   partial.assign(sets.size(), StretchReport{});
@@ -163,8 +163,7 @@ StretchReport verify_fault_sets(const Graph& g, const Graph& h,
     std::vector<std::unique_ptr<PairChecker>> checkers(threads);
     for (auto& checker : checkers)
       checker = std::make_unique<PairChecker>(g, h, params);
-    exec::ThreadPool& pool =
-        exec.pool != nullptr ? *exec.pool : exec::shared_pool();
+    exec::ThreadPool& pool = exec::shared_pool();
     pool.ensure_workers(threads);
     pool.run(
         sets.size(),
@@ -191,7 +190,7 @@ StretchReport verify_fault_sets(const Graph& g, const Graph& h,
 
 StretchReport verify_sampled(const Graph& g, const Graph& h,
                              const SpannerParams& params, std::uint32_t trials,
-                             Rng& rng, const ExecPolicy& exec) {
+                             Rng& rng, std::uint32_t threads) {
   params.validate();
   // Draw every fault set up front (sequential rng consumption is the
   // bit-identity contract).  Trial i requests size f - (i mod (f+1)), so
@@ -220,7 +219,7 @@ StretchReport verify_sampled(const Graph& g, const Graph& h,
     sets.push_back(std::move(faults));
   }
 
-  StretchReport report = verify_fault_sets(g, h, params, sets, exec);
+  StretchReport report = verify_fault_sets(g, h, params, sets, threads);
   report.trials_skipped = skipped;
   return report;
 }

@@ -70,27 +70,28 @@ struct StretchReport {
 /// asked); both are tallied in StretchReport::trials_skipped rather than
 /// counted as full-strength coverage.
 ///
-/// Trials are independent, so `exec.threads` > 1 (or 0 = auto) fans them
-/// over the shared worker pool (exec::shared_pool(), or exec.pool): fault
-/// sets are drawn from `rng` sequentially up front and per-trial reports are
-/// folded in trial order, so the report — including the worst witness — is
-/// bit-identical at any thread count.  O(trials * m * Dijkstra) work either
-/// way.
+/// Trials are independent, so `threads` > 1 (or 0 = one per hardware
+/// thread) fans them over the shared worker pool (exec::shared_pool()):
+/// fault sets are drawn from `rng` sequentially up front and per-trial
+/// reports are folded in trial order, so the report — including the worst
+/// witness — is bit-identical at any thread count.  O(trials * m *
+/// Dijkstra) work either way.
 [[nodiscard]] StretchReport verify_sampled(const Graph& g, const Graph& h,
                                            const SpannerParams& params,
                                            std::uint32_t trials, Rng& rng,
-                                           const ExecPolicy& exec = {});
+                                           std::uint32_t threads = 1);
 
 /// The storm core shared by verify_sampled and the scenario layer
 /// (fault/scenario.h): checks every fault set in `sets` against all
 /// surviving G-edges and folds the per-set reports in order, so the result
-/// — including the worst witness — is bit-identical at any `exec` thread
-/// count.  When `per_set` is not null it receives each set's individual
-/// report (aligned with `sets`), which is how the attack benches compute
-/// per-trial stretch percentiles.  O(|sets| * m * Dijkstra).
+/// — including the worst witness — is bit-identical at any `threads` count
+/// (0 = one per hardware thread).  When `per_set` is not null it receives
+/// each set's individual report (aligned with `sets`), which is how the
+/// attack benches compute per-trial stretch percentiles.
+/// O(|sets| * m * Dijkstra).
 [[nodiscard]] StretchReport verify_fault_sets(
     const Graph& g, const Graph& h, const SpannerParams& params,
-    std::span<const FaultSet> sets, const ExecPolicy& exec = {},
+    std::span<const FaultSet> sets, std::uint32_t threads = 1,
     std::vector<StretchReport>* per_set = nullptr);
 
 /// Checks one specific fault set: max stretch over surviving G-edges

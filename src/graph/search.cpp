@@ -31,7 +31,6 @@ void BfsRunner::ensure_session_arrays() {
   if (tmark_.size() < capacity()) {
     tmark_.resize(capacity(), 0);
     amark_.resize(capacity(), 0);
-    tpos_.resize(capacity(), 0);
     pidx_.resize(capacity(), 0);
   }
 }
@@ -54,8 +53,7 @@ std::size_t BfsRunner::arena_bytes() const noexcept {
   };
   std::size_t total = bytes(dist_) + bytes(stamp_) + bytes(parent_) +
                       bytes(parent_arc_) + bytes(queue_) + bytes(iqueue_) +
-                      bytes(tmark_) +
-                      bytes(amark_) + bytes(tpos_) + bytes(pidx_) +
+                      bytes(tmark_) + bytes(amark_) + bytes(pidx_) +
                       bytes(rdist_) + bytes(rpar_) + bytes(redge_) +
                       bytes(rpidx_) + bytes(rqueued_) + bytes(fstamp_) +
                       bytes(mstamp_) + bytes(rlog_) + bytes(rbuckets_);
@@ -72,7 +70,6 @@ void BfsRunner::begin_epoch() {
     epoch_ = 1;
   }
   queue_.clear();
-  expanded_count_ = 0;
   repair_ready_ = false;  // any new search or session drops the repair state
   repair_dirty_ = false;
 }
@@ -99,14 +96,10 @@ std::uint32_t BfsRunner::run_impl(const Graph& g, VertexId s, VertexId t,
   // must report the full last level.)
   const bool prune_frontier = t != kInvalidVertex;
 
-  std::size_t head = 0;
-  for (; head < queue_.size(); ++head) {
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
     const VertexId u = queue_[head];
     const std::uint32_t du = dist[u];
-    if (u == t) {
-      expanded_count_ = head;
-      return du;
-    }
+    if (u == t) return du;
     if (du >= max_hops) break;  // queue distances are nondecreasing
     const bool frontier_next = prune_frontier && du + 1 >= max_hops;
     const auto arcs = g.neighbors(u);
@@ -127,7 +120,6 @@ std::uint32_t BfsRunner::run_impl(const Graph& g, VertexId s, VertexId t,
       queue_.push_back(arc.to);
     }
   }
-  expanded_count_ = head;
   if (t == kInvalidVertex) return kUnreachableHops;
   return stamp[t] == epoch_ ? dist[t] : kUnreachableHops;
 }
@@ -217,7 +209,7 @@ void BfsRunner::tree_begin(const Graph& g, VertexId s,
 }
 
 template <bool kCheckVertices, bool kCheckEdges>
-BfsTreeAnswer BfsRunner::tree_next_impl(VertexId v) {
+std::uint32_t BfsRunner::tree_next_impl(VertexId v) {
   const Graph& g = *tree_g_;
   const FaultView& faults = tree_faults_;
   const std::uint32_t max_hops = tree_max_hops_;
@@ -229,23 +221,16 @@ BfsTreeAnswer BfsRunner::tree_next_impl(VertexId v) {
   while (tree_head_ < queue_.size()) {
     const VertexId u = queue_[tree_head_];
     const std::uint32_t du = dist[u];
-    if (tmark_[u] == epoch_) {
-      // A pending target settles the moment it is popped; its read set is
-      // what a dedicated search would have expanded by now: everything ahead
-      // of it in the queue when du < max_hops, and the final (frozen, since
-      // the deepest level is never scanned) expansion count otherwise.
+    if (tmark_[u] == epoch_) {  // a pending target settles when popped
       tmark_[u] = 0;
       amark_[u] = epoch_;
-      tpos_[u] = du < max_hops ? tree_head_ : expanded_count_;
     }
     if (du >= max_hops) {  // deepest level: popped, never scanned
       ++tree_head_;
-      if (u == v) return {du, tpos_[u]};
+      if (u == v) return du;
       continue;
     }
-    if (u == v)  // stop *before* scanning v, exactly like the u == t return
-      return {du, tpos_[u]};
-    ++expanded_count_;
+    if (u == v) return du;  // stop *before* scanning v, like the u == t return
     ++tree_head_;
     const bool frontier_next = du + 1 >= max_hops;
     const auto arcs = g.neighbors(u);
@@ -270,19 +255,19 @@ BfsTreeAnswer BfsRunner::tree_next_impl(VertexId v) {
       queue_.push_back(arc.to);
     }
   }
-  return {kUnreachableHops, expanded_count_};
+  return kUnreachableHops;
 }
 
-BfsTreeAnswer BfsRunner::tree_next(VertexId v) {
+std::uint32_t BfsRunner::tree_next(VertexId v) {
   FTSPAN_REQUIRE(tree_g_ != nullptr && tree_epoch_ == epoch_,
                  "no open terminal-tree session (another search ended it?)");
   FTSPAN_ASSERT(!repair_dirty_,
                 "tree_next with outstanding repairs (tree_rollback first)");
   FTSPAN_REQUIRE(v < tree_g_->n(), "tree target out of range");
-  if (!tree_faults_.vertex_alive(v)) return {kUnreachableHops, 0};
+  if (!tree_faults_.vertex_alive(v)) return kUnreachableHops;
   FTSPAN_REQUIRE(tmark_[v] == epoch_ || amark_[v] == epoch_,
                  "tree_next target was not in the tree_begin target set");
-  if (amark_[v] == epoch_) return {dist_[v], tpos_[v]};
+  if (amark_[v] == epoch_) return dist_[v];
 
   const bool check_v = !tree_faults_.failed_vertices.empty();
   const bool check_e = !tree_faults_.failed_edges.empty();
@@ -321,7 +306,6 @@ std::size_t BfsRunner::tree_insert_source_arc(VertexId v, EdgeId via_edge) {
   if (tmark_[v] == epoch_ || amark_[v] == epoch_) {
     tmark_[v] = 0;
     amark_[v] = epoch_;
-    tpos_[v] = expanded_count_;
   }
 
   iqueue_.clear();
@@ -348,7 +332,6 @@ std::size_t BfsRunner::tree_insert_source_arc(VertexId v, EdgeId via_edge) {
       if (tmark_[arc.to] == epoch_) {
         tmark_[arc.to] = 0;
         amark_[arc.to] = epoch_;
-        tpos_[arc.to] = expanded_count_;
       }
       iqueue_.push_back(arc.to);
     }
@@ -649,14 +632,6 @@ void BfsRunner::tree_masked_path_arcs(VertexId v, std::vector<PathStep>& out) {
   for (VertexId x = v; x != kInvalidVertex; x = rpar_[x])
     out.push_back(PathStep{x, redge_[x]});
   std::reverse(out.begin(), out.end());
-}
-
-bool BfsRunner::tree_masked_before(VertexId x, VertexId v) {
-  FTSPAN_ASSERT(repair_ready_ && tree_epoch_ == epoch_,
-                "tree_masked_before without repair state");
-  repair_resolve(x);
-  repair_resolve(v);
-  return sigma_less(x, v);
 }
 
 void BfsRunner::tree_rollback() {

@@ -70,18 +70,6 @@ inline constexpr std::size_t kStateSlabVertices = 4096;
   return (n + kStateSlabVertices - 1) / kStateSlabVertices * kStateSlabVertices;
 }
 
-/// Answer for one target of a terminal-tree session (BfsRunner::tree_begin /
-/// BfsRunner::tree_next).
-struct BfsTreeAnswer {
-  /// Hop distance from the session source (kUnreachableHops when the target
-  /// is beyond max_hops, unreachable, or failed).
-  std::uint32_t dist = kUnreachableHops;
-  /// Length of the last_visited() prefix a dedicated single-target search
-  /// for this target would have *expanded* — the exact per-target read set,
-  /// so traces built from a shared tree stay bit-identical to unbatched ones.
-  std::size_t expanded_prefix = 0;
-};
-
 /// Breadth-first search: hop (edge-count) distances, ignoring weights.
 class BfsRunner {
  public:
@@ -114,21 +102,6 @@ class BfsRunner {
                 const FaultView& faults = {},
                 std::uint32_t max_hops = kUnreachableHops);
 
-  /// Vertices discovered (stamped) by the most recent search, in BFS order.
-  /// Valid until the next search on this runner.
-  [[nodiscard]] std::span<const VertexId> last_visited() const noexcept {
-    return queue_;
-  }
-
-  /// Prefix of last_visited() that was *expanded* (popped and its arc row
-  /// scanned).  This is the exact read set of the search on the graph's
-  /// adjacency: a replay after appending edges whose endpoints all lie
-  /// outside this set performs the identical computation — the invalidation
-  /// test of the speculative greedy engine (src/exec/).
-  [[nodiscard]] std::span<const VertexId> last_expanded() const noexcept {
-    return {queue_.data(), expanded_count_};
-  }
-
   /// Arcs scanned by search expansions on this runner, cumulative over its
   /// lifetime: every adjacency-row entry read while expanding a vertex in a
   /// plain search or a terminal-tree session.  This is the work term of the
@@ -150,9 +123,8 @@ class BfsRunner {
   // the already-expanded region is free.  Frontier pruning generalizes to
   // the target set: at depth max_hops only pending targets are stamped.
   //
-  // Answers are bit-identical to single-target searches: same distances,
-  // same parent arcs (extract with path_arcs_to), and expanded_prefix is the
-  // exact expansion count of the equivalent early-terminated search.
+  // Answers are bit-identical to single-target searches: same distances and
+  // same parent arcs (extract with path_arcs_to).
   //
   // The session is bound to the runner's current epoch: any other search on
   // this runner ends it (tree_next then throws).  The graph and fault view
@@ -165,9 +137,11 @@ class BfsRunner {
                   std::uint32_t max_hops = kUnreachableHops);
 
   /// Answers one target of the open session (v must be in the tree_begin
-  /// target set), expanding the tree no further than v's own single-target
-  /// search would have.  Idempotent: repeated calls return the same answer.
-  BfsTreeAnswer tree_next(VertexId v);
+  /// target set) with its hop distance from the source — kUnreachableHops
+  /// when v is beyond max_hops, unreachable, or failed — expanding the tree
+  /// no further than v's own single-target search would have.  Idempotent:
+  /// repeated calls return the same answer.
+  std::uint32_t tree_next(VertexId v);
 
   /// Extracts the (vertex, edge-id) path from the source of the most recent
   /// search (or session) to `v`, which must have been reached by it.  Same
@@ -183,12 +157,12 @@ class BfsRunner {
   ///
   /// This is a DISTANCE-ONLY overlay: parent arcs stay valid (consistent
   /// dist chains, so path_arcs_to never breaks) but are no longer the lex-min
-  /// chains a dedicated search would pick, and queue order / expanded_prefix
-  /// / last_visited are not updated for the improved region.  Callers that
-  /// consume only the distance answers — LBC(t, 0) decisions, which build no
-  /// cut and record no trace — get bit-identical results at a fraction of a
-  /// full re-expansion; anything reading paths, traces, or repair state must
-  /// re-begin the session instead (LbcSolver gates this on alpha == 0).
+  /// chains a dedicated search would pick, and queue order is not updated
+  /// for the improved region.  Callers that consume only the distance
+  /// answers — LBC(t, 0) decisions, which build no cut — get bit-identical
+  /// results at a fraction of a full re-expansion; anything reading paths
+  /// or repair state must re-begin the session instead (LbcSolver gates
+  /// this on alpha == 0).
   ///
   /// Requires: an open session whose expansion is exhausted (the accepting
   /// unreachable answer guarantees this), and v not yet reached by it.
@@ -218,7 +192,7 @@ class BfsRunner {
   //      vertices whose distance actually changes;
   //   2. parent arcs repair LAZILY (repair_resolve): sigma monotonicity
   //      means an intact stored chain is still lex-min, so only the chains a
-  //      query actually reads (the reported path, trace-order comparisons)
+  //      query actually reads (the reported path)
   //      are validated in O(depth), and only genuinely broken ones re-run
   //      the lex-min tournament one level up.
   // Every overlay write is logged so tree_rollback() restores the clean
@@ -253,12 +227,6 @@ class BfsRunner {
   /// lazily (hence non-const).
   void tree_masked_path_arcs(VertexId v, std::vector<PathStep>& out);
 
-  /// True when the repaired chain of `x` precedes the repaired chain of `v`
-  /// in dedicated-BFS discovery order (both at the same masked depth): the
-  /// lexicographic sigma comparison that reconstructs exact per-sweep read
-  /// sets without replaying the BFS.  Resolves both chains lazily.
-  [[nodiscard]] bool tree_masked_before(VertexId x, VertexId v);
-
   /// Undoes every tree_repair_cut since the last rollback, restoring the
   /// clean shared tree (cost proportional to the repairs performed).
   void tree_rollback();
@@ -276,10 +244,9 @@ class BfsRunner {
   /// adaptive-masking heuristic's decision variable).
   [[nodiscard]] ArcIndex repair_arcs() const noexcept { return repair_arcs_; }
 
-
   /// Pre-sizes the per-vertex state — including the terminal-tree session
   /// arrays — for graphs with up to `n` vertices, so the first search or
-  /// session allocates nothing (per-thread arena warm-up).  The reservation
+  /// session allocates nothing.  The reservation
   /// is quantized to kStateSlabVertices.  Runners that never open sessions
   /// can skip reserve(); the session arrays also grow lazily in tree_begin.
   void reserve(std::size_t n) {
@@ -300,7 +267,7 @@ class BfsRunner {
   std::uint32_t run_impl(const Graph& g, VertexId s, VertexId t,
                          const FaultView& faults, std::uint32_t max_hops);
   template <bool kCheckVertices, bool kCheckEdges>
-  BfsTreeAnswer tree_next_impl(VertexId v);
+  std::uint32_t tree_next_impl(VertexId v);
   void ensure(std::size_t n);
   void ensure_session_arrays();
   void ensure_repair_arrays();
@@ -329,7 +296,6 @@ class BfsRunner {
   std::vector<EdgeId> parent_arc_;
   std::vector<VertexId> queue_;
   std::vector<VertexId> iqueue_;  ///< tree_insert_source_arc work queue
-  std::size_t expanded_count_ = 0;
   std::uint32_t epoch_ = 0;
   ArcIndex arcs_scanned_ = 0;
   ArcIndex repair_arcs_ = 0;
@@ -342,7 +308,6 @@ class BfsRunner {
   std::size_t tree_head_ = 0;            ///< next queue position to pop
   std::vector<std::uint32_t> tmark_;     ///< epoch-stamped: pending target
   std::vector<std::uint32_t> amark_;     ///< epoch-stamped: answered target
-  std::vector<std::size_t> tpos_;        ///< answered target's expanded_prefix
   std::vector<std::uint32_t> pidx_;      ///< discovery row index (clean tree)
 
   // Masked-tree repair state (valid while repair_ready_ for this session).

@@ -331,13 +331,13 @@ Graph ChurnSpanner::spanner_graph() const {
 }
 
 OracleReport ChurnSpanner::oracle_check(std::uint32_t trials, Rng& rng,
-                                        const ExecPolicy& exec,
+                                        std::uint32_t threads,
                                         bool compare_oracle) {
   obs::ScopedSpan span("service", "churn.oracle_check");
   OracleReport out;
   Graph live = live_graph();
   const Graph h = spanner_graph();
-  out.report = verify_sampled(live, h, config_.params, trials, rng, exec);
+  out.report = verify_sampled(live, h, config_.params, trials, rng, threads);
   out.maintained_m = spanner_m_;
   if (compare_oracle) {
     auto build =

@@ -171,7 +171,7 @@ class ChurnSpanner {
   /// modified-greedy build as the size yardstick and rebuilds when the
   /// size-slack leg of the staleness budget trips (config().size_slack).
   OracleReport oracle_check(std::uint32_t trials, Rng& rng,
-                            const ExecPolicy& exec = {},
+                            std::uint32_t threads = 1,
                             bool compare_oracle = false);
 
   [[nodiscard]] const ChurnStats& stats() const noexcept { return stats_; }

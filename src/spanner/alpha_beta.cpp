@@ -21,8 +21,8 @@ SpannerBuild alpha_beta_spanner(const Graph& g, const SpannerParams& params,
   if (!g.weighted()) {
     // Unit weights collapse every per-edge budget to the same hop count
     // floor(alpha * 1 + beta), which is Algorithm 2 under a different t:
-    // delegate to the modified-greedy engines (batching, masked-tree repair,
-    // speculation — bit-identical at any thread count) via the hop override.
+    // delegate to the modified greedy (batching, masked-tree repair) via the
+    // hop override.
     ModifiedGreedyConfig engine = config.engine;
     engine.hop_budget =
         static_cast<std::uint32_t>(std::floor(config.alpha + config.beta));

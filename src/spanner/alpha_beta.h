@@ -15,14 +15,12 @@
 // Fault-model support: both.  FaultModel::vertex cuts path interiors,
 // FaultModel::edge cuts path edges, exactly as in Algorithm 2.
 //
-// Determinism contract: unweighted inputs delegate to the modified-greedy
-// engines with hop budget floor(alpha + beta) (ModifiedGreedyConfig::
-// hop_budget), inheriting terminal batching, masked-tree repair, and the
-// speculative parallel engine — picks are bit-identical at any thread count
-// and any A/B knob setting.  Weighted inputs run a sequential scan whose
-// oracle is LbcSolver::decide_weighted (budget-pruned Dijkstra sweeps);
-// config.engine.exec is ignored there, so results are trivially
-// thread-count invariant.  With alpha + beta = 2k - 1 on an unweighted
+// Determinism contract: unweighted inputs delegate to the modified greedy
+// with hop budget floor(alpha + beta) (ModifiedGreedyConfig::hop_budget),
+// inheriting terminal batching and masked-tree repair — picks are
+// bit-identical at any A/B knob setting.  Weighted inputs run a sequential
+// scan whose oracle is LbcSolver::decide_weighted (budget-pruned Dijkstra
+// sweeps).  With alpha + beta = 2k - 1 on an unweighted
 // graph the picks coincide edge-for-edge with modified_greedy_spanner at
 // that k (pinned by tests/zoo_test.cpp).
 
@@ -41,7 +39,7 @@ struct AlphaBetaConfig {
   double alpha = 3.0;
   /// Additive part of the per-edge budget.
   double beta = 0.0;
-  /// Oracle-engine knobs (scan order, certificates, batching, threads).
+  /// Oracle-engine knobs (scan order, certificates, batching).
   /// Fully honored on unweighted inputs (the hop-budget delegation); on
   /// weighted inputs only `order` and `record_certificates` apply.
   ModifiedGreedyConfig engine;

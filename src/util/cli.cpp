@@ -1,10 +1,30 @@
 #include "util/cli.h"
 
+#include <limits>
 #include <stdexcept>
 
 #include "util/check.h"
 
 namespace ftspan {
+
+namespace {
+
+/// Parses all of `text` with `parse` (std::stoll / std::stod style); throws
+/// std::invalid_argument naming --name on garbage or trailing characters.
+template <typename Parse>
+auto parse_whole(const std::string& name, const std::string& text,
+                 const char* expected, Parse parse) {
+  try {
+    std::size_t consumed = 0;
+    const auto value = parse(text, &consumed);
+    if (consumed == text.size()) return value;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument("--" + name + " expects " + expected +
+                              ", got '" + text + "'");
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   FTSPAN_REQUIRE(argc >= 1, "argc must include the program name");
@@ -34,24 +54,22 @@ std::string Cli::get(const std::string& name, const std::string& fallback) const
 
 std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::stoll(it->second);
+  if (it == values_.end()) return fallback;
+  return parse_whole(name, it->second, "an integer",
+                     [](const std::string& s, std::size_t* pos) {
+                       return std::stoll(s, pos);
+                     });
 }
 
 std::uint64_t Cli::get_uint(const std::string& name,
                             std::uint64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  std::int64_t value = 0;
-  try {
-    std::size_t consumed = 0;
-    value = std::stoll(it->second, &consumed);
-    if (consumed != it->second.size())
-      throw std::invalid_argument("trailing characters");
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--" + name +
-                                " expects a non-negative integer, got '" +
-                                it->second + "'");
-  }
+  const std::int64_t value =
+      parse_whole(name, it->second, "a non-negative integer",
+                  [](const std::string& s, std::size_t* pos) {
+                    return std::stoll(s, pos);
+                  });
   if (value < 0)
     throw std::invalid_argument("--" + name + " must be non-negative, got " +
                                 it->second);
@@ -60,7 +78,18 @@ std::uint64_t Cli::get_uint(const std::string& name,
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::stod(it->second);
+  if (it == values_.end()) return fallback;
+  const double value = parse_whole(name, it->second, "a number",
+                                   [](const std::string& s, std::size_t* pos) {
+                                     return std::stod(s, pos);
+                                   });
+  // Written as !(in range) so NaN, which fails every comparison, is caught
+  // along with the infinities.
+  constexpr double kMax = std::numeric_limits<double>::max();
+  if (!(value >= -kMax && value <= kMax))
+    throw std::invalid_argument("--" + name + " must be finite, got " +
+                                it->second);
+  return value;
 }
 
 }  // namespace ftspan

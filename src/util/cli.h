@@ -26,7 +26,9 @@ class Cli {
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
 
-  /// Value of --name as an integer, or `fallback` when absent.
+  /// Value of --name as an integer, or `fallback` when absent.  Throws
+  /// std::invalid_argument (naming the flag) unless the whole value parses:
+  /// "--batch 1zz" is an error, not 1.
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
 
@@ -38,7 +40,10 @@ class Cli {
   [[nodiscard]] std::uint64_t get_uint(const std::string& name,
                                        std::uint64_t fallback) const;
 
-  /// Value of --name as a double, or `fallback` when absent.
+  /// Value of --name as a finite double, or `fallback` when absent.  Throws
+  /// std::invalid_argument (naming the flag) on trailing characters
+  /// ("--p 0.1abc") and on nan/inf, which would otherwise flow silently into
+  /// probabilities and radii.
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
 
   /// Program name (argv[0]).

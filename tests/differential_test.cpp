@@ -1,12 +1,11 @@
-// Cross-engine differential fuzz harness: every engine variant of the
-// modified greedy — sequential | speculative, terminal-batched on/off,
-// masked-tree repair on/off, pipelined overlap on/off, terminal-batch work
-// stealing on/off, several thread counts — must produce bit-identical picks,
-// certificates, oracle-call and sweep counts on seeded random inputs across
-// both fault models.  A second tier pins the
+// Cross-variant differential fuzz harness: every variant of the modified
+// greedy — terminal-batched on/off, masked-tree repair on/off — must produce
+// bit-identical picks, certificates, oracle-call and sweep counts on seeded
+// random inputs across both fault models.  A second tier pins the
 // masked-tree LBC oracle itself (decide_batched with repair) against the
-// dedicated per-pair oracle down to cuts and traces.  Every assertion names
-// the failing seed so a red run is reproducible from the log alone.
+// dedicated per-pair oracle down to cuts and sweep counts, and a third pins
+// the verifier's reports across thread counts.  Every assertion names the
+// failing seed so a red run is reproducible from the log alone.
 
 #include <gtest/gtest.h>
 
@@ -33,30 +32,16 @@ struct EngineVariant {
   const char* name;
   bool batch;
   bool masked;
-  std::uint32_t threads;
-  bool overlap;
-  bool steal;
 };
 
-// The speculative rows sweep the overlap (pipelined commit/evaluate windows)
-// x steal (terminal-batch chunk stealing) axes at threads {2, 8}; threads 1
-// is the sequential engine, where both knobs are inert by construction.
 constexpr EngineVariant kVariants[] = {
-    {"seq-batched", true, false, 1, true, true},
-    {"seq-masked-tree", true, true, 1, true, true},
-    {"seq-masked-no-batch", false, true, 1, true, true},  // masked inert alone
-    {"spec-2t", true, false, 2, true, true},
-    {"spec-2t-masked", true, true, 2, true, true},
-    {"spec-2t-no-overlap", true, true, 2, false, true},
-    {"spec-2t-no-steal", true, true, 2, true, false},
-    {"spec-2t-barrier", true, true, 2, false, false},
-    {"spec-8t-masked", true, true, 8, true, true},
-    {"spec-8t-barrier", true, true, 8, false, false},
-    {"spec-8t-unbatched", false, false, 8, true, true},
+    {"batched", true, false},
+    {"masked-tree", true, true},
+    {"masked-no-batch", false, true},  // masked repair is inert alone
 };
 
-/// Runs every variant against the sequential-unbatched-unmasked reference
-/// and asserts bit-identity of everything a downstream consumer can see.
+/// Runs every variant against the unbatched-unmasked reference and asserts
+/// bit-identity of everything a downstream consumer can see.
 void expect_engines_agree(const Graph& g, const SpannerParams& params,
                           EdgeOrder order, std::uint64_t seed) {
   const std::string ctx = "seed=" + std::to_string(seed) +
@@ -79,9 +64,6 @@ void expect_engines_agree(const Graph& g, const SpannerParams& params,
     config.record_certificates = true;
     config.batch_terminals = variant.batch;
     config.masked_tree = variant.masked;
-    config.exec.threads = variant.threads;
-    config.exec.overlap = variant.overlap;
-    config.exec.steal = variant.steal;
     const auto build = modified_greedy_spanner(g, params, config);
 
     ASSERT_EQ(build.picked, ref.picked) << ctx << " variant=" << variant.name;
@@ -96,14 +78,6 @@ void expect_engines_agree(const Graph& g, const SpannerParams& params,
           << ctx << " variant=" << variant.name << " certificate=" << i;
     if (!variant.batch) {
       EXPECT_EQ(build.stats.masked_reuse_hits, 0u)
-          << ctx << " variant=" << variant.name;
-    }
-    if (!variant.overlap || variant.threads == 1) {
-      EXPECT_EQ(build.stats.overlap_windows, 0u)
-          << ctx << " variant=" << variant.name;
-    }
-    if (!variant.steal || variant.threads == 1) {
-      EXPECT_EQ(build.stats.stolen_chunks, 0u)
           << ctx << " variant=" << variant.name;
     }
   }
@@ -150,7 +124,7 @@ TEST(Differential, EnginesAgreeOnSparseDisconnectedGraphs) {
 // ----------------------------------------------------- oracle-level harness
 
 /// Pins masked-tree decide_batched against the dedicated per-pair oracle:
-/// decisions, certificates, sweep counts, AND traces must be bit-identical.
+/// decisions, certificates, and sweep counts must be bit-identical.
 void expect_masked_oracle_matches(const Graph& g, FaultModel model,
                                   std::uint32_t t, std::uint32_t alpha,
                                   VertexId u,
@@ -166,18 +140,13 @@ void expect_masked_oracle_matches(const Graph& g, FaultModel model,
   masked.set_masked_tree(true);
   LbcSolver reference(model);
   std::vector<LbcResult> results(targets.size());
-  std::vector<LbcTrace> traces(targets.size());
-  masked.decide_batch(g, u, targets, t, alpha, results, traces.data());
+  masked.decide_batch(g, u, targets, t, alpha, results);
 
   for (std::size_t j = 0; j < targets.size(); ++j) {
-    LbcTrace ref_trace;
-    const LbcResult ref =
-        reference.decide(g, u, targets[j], t, alpha, &ref_trace);
+    const LbcResult ref = reference.decide(g, u, targets[j], t, alpha);
     ASSERT_EQ(results[j].yes, ref.yes) << ctx << " target=" << targets[j];
     ASSERT_EQ(results[j].sweeps, ref.sweeps) << ctx << " target=" << targets[j];
     ASSERT_EQ(results[j].cut.ids, ref.cut.ids) << ctx << " target=" << targets[j];
-    ASSERT_EQ(traces[j].expanded, ref_trace.expanded)
-        << ctx << " target=" << targets[j];
   }
   EXPECT_EQ(masked.total_sweeps(), reference.total_sweeps()) << ctx;
   // Every sweep past the first of a multi-sweep decision was served from
@@ -212,29 +181,27 @@ TEST(Differential, MaskedTreeOracleMatchesDedicatedBfs) {
 
 /// The obs layer's second CI contract: tracing observes, never steers.
 /// Every consumer-visible output — picks, certificates, sweep counts, and
-/// the verifier's report — must be bit-identical with tracing on vs off at
-/// threads {1, 2, 8}.
+/// the verifier's report at threads {1, 2, 8} — must be bit-identical with
+/// tracing on vs off.
 TEST(Differential, TracingOnNeverPerturbsResults) {
   obs::reset_for_testing();
   Rng rng(0x0b5eULL);
   const Graph g = gnp(48, 0.14, rng);
   const SpannerParams params{.k = 2, .f = 2};
+  ModifiedGreedyConfig config;
+  config.record_certificates = true;
   for (const std::uint32_t threads : {1u, 2u, 8u}) {
     const std::string ctx = "threads=" + std::to_string(threads);
-    ModifiedGreedyConfig config;
-    config.record_certificates = true;
-    config.exec.threads = threads;
-
     const auto off = modified_greedy_spanner(g, params, config);
     Rng verify_off_rng(99);
     const auto report_off =
-        verify_sampled(g, off.spanner, params, 8, verify_off_rng);
+        verify_sampled(g, off.spanner, params, 8, verify_off_rng, threads);
 
     obs::trace_start(obs::TraceOptions{std::size_t{1} << 12});
     const auto on = modified_greedy_spanner(g, params, config);
     Rng verify_on_rng(99);
     const auto report_on =
-        verify_sampled(g, on.spanner, params, 8, verify_on_rng);
+        verify_sampled(g, on.spanner, params, 8, verify_on_rng, threads);
     obs::trace_stop();
     obs::metrics_stop();
 
@@ -248,6 +215,7 @@ TEST(Differential, TracingOnNeverPerturbsResults) {
     EXPECT_EQ(report_on.ok, report_off.ok) << ctx;
     EXPECT_EQ(report_on.max_stretch, report_off.max_stretch) << ctx;
     EXPECT_EQ(report_on.pairs_checked, report_off.pairs_checked) << ctx;
+    EXPECT_EQ(report_on.worst.faults.ids, report_off.worst.faults.ids) << ctx;
   }
   obs::reset_for_testing();
 }
@@ -286,11 +254,9 @@ TEST(Differential, ScenarioStormsBitIdenticalAcrossThreads) {
                                   " scenario=" + to_string(kind) +
                                   " model=" + to_string(params.model) +
                                   " threads=" + std::to_string(threads);
-          ExecPolicy exec;
-          exec.threads = threads;
           Rng rng(storm_seed);
           const StretchReport report =
-              verify_scenario(g, h, params, spec, trials, rng, exec);
+              verify_scenario(g, h, params, spec, trials, rng, threads);
           ASSERT_EQ(report.ok, ref.ok) << ctx;
           ASSERT_EQ(report.max_stretch, ref.max_stretch) << ctx;
           ASSERT_EQ(report.fault_sets_checked, ref.fault_sets_checked) << ctx;

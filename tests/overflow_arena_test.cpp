@@ -107,8 +107,7 @@ TEST(SlabArena, HighWaterMarkNeverShrinks) {
 TEST(SlabArena, ReserveMakesSessionsAllocationStable) {
   // After reserve(n), repeated terminal-tree sessions must not move the
   // footprint: every per-vertex array (search, session, repair) is at its
-  // high-water mark already.  This is the per-worker arena-pooling contract
-  // the speculative engine's SearchArena relies on.
+  // high-water mark already.
   Rng rng(13);
   const Graph g = gnp(3000, 0.005, rng);
   BfsRunner bfs;

@@ -213,6 +213,47 @@ TEST(Cli, GetUintRejectsGarbage) {
   EXPECT_THROW((void)cli.get_uint("m", 0), std::invalid_argument);
 }
 
+/// Expects `lookup` to throw std::invalid_argument whose message names --flag.
+template <typename Lookup>
+void expect_rejected(const std::string& flag, Lookup lookup) {
+  try {
+    (void)lookup();
+    FAIL() << "--" << flag << " should have been rejected";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--" + flag), std::string::npos) << what;
+  }
+}
+
+TEST(Cli, GetDoubleRejectsTrailingCharacters) {
+  // "--p 0.1abc" must be an error, not p = 0.1.
+  const char* argv[] = {"prog", "--p", "0.1abc", "--q", "abc"};
+  Cli cli(5, argv);
+  expect_rejected("p", [&] { return cli.get_double("p", 0.0); });
+  expect_rejected("q", [&] { return cli.get_double("q", 0.0); });
+}
+
+TEST(Cli, GetDoubleRejectsNonFinite) {
+  // nan/inf must never reach a probability or radius ("--p inf" on a
+  // geometric graph would connect every pair).
+  const char* argv[] = {"prog", "--p", "inf", "--q=-inf", "--r", "nan",
+                        "--s", "1e999"};
+  Cli cli(8, argv);
+  expect_rejected("p", [&] { return cli.get_double("p", 0.0); });
+  expect_rejected("q", [&] { return cli.get_double("q", 0.0); });
+  expect_rejected("r", [&] { return cli.get_double("r", 0.0); });
+  expect_rejected("s", [&] { return cli.get_double("s", 0.0); });
+}
+
+TEST(Cli, GetIntRejectsTrailingCharacters) {
+  // "--batch 1zz" must be an error, not --batch 1.
+  const char* argv[] = {"prog", "--batch", "1zz", "--reps", "x", "--k", "-2"};
+  Cli cli(7, argv);
+  expect_rejected("batch", [&] { return cli.get_int("batch", 1); });
+  expect_rejected("reps", [&] { return cli.get_int("reps", 1); });
+  EXPECT_EQ(cli.get_int("k", 0), -2);  // negative integers stay valid here
+}
+
 // ----------------------------------------------------------------- check
 
 TEST(Check, RequireThrowsInvalidArgument) {

@@ -147,10 +147,8 @@ TEST(Verifier, ThreadedSampledVerificationIsBitIdentical) {
   Rng seq_rng(93);
   const auto sequential = verify_sampled(g, h, params, 60, seq_rng);
   for (const std::uint32_t threads : {2u, 4u, 8u}) {
-    ExecPolicy exec;
-    exec.threads = threads;
     Rng par_rng(93);
-    const auto parallel = verify_sampled(g, h, params, 60, par_rng, exec);
+    const auto parallel = verify_sampled(g, h, params, 60, par_rng, threads);
     EXPECT_EQ(parallel.ok, sequential.ok) << "threads=" << threads;
     EXPECT_EQ(parallel.fault_sets_checked, sequential.fault_sets_checked);
     EXPECT_EQ(parallel.pairs_checked, sequential.pairs_checked);

@@ -183,25 +183,6 @@ TEST(AlphaBeta, GoldenWeightedBothModels) {
   }
 }
 
-TEST(AlphaBeta, BitIdenticalAcrossThreads) {
-  // Unweighted inputs route through the full modified-greedy engine; the
-  // budget override must not disturb the parallel commit protocol.
-  const Graph g = testing::connected_gnp(48, 0.2, 7505);
-  const SpannerParams params{.k = 2, .f = 2, .model = FaultModel::vertex};
-  AlphaBetaConfig config;
-  config.alpha = 2.0;
-  config.beta = 1.0;
-  const auto sequential = alpha_beta_spanner(g, params, config);
-  for (const std::uint32_t threads : {1u, 2u, 8u}) {
-    AlphaBetaConfig threaded = config;
-    threaded.engine.exec.threads = threads;
-    const auto build = alpha_beta_spanner(g, params, threaded);
-    EXPECT_EQ(build.picked, sequential.picked) << "threads=" << threads;
-    EXPECT_EQ(build.stats.search_sweeps, sequential.stats.search_sweeps)
-        << "threads=" << threads;
-  }
-}
-
 TEST(AlphaBeta, ValidatesBudget) {
   Rng rng(11);
   const Graph g = gnp(12, 0.4, rng);

@@ -1,21 +1,16 @@
 #!/usr/bin/env python3
 """CI gate for the perf bench lanes.
 
-Default (E4) mode validates a BENCH_e4_runtime.json produced on a multicore
-runner:
+Default (E4) mode validates a BENCH_e4_runtime.json:
 
-1. the runner really was multicore: at least one modified row ran with
-   threads_used > 1, and every multi-thread row has a measured (non-null)
-   speedup vs its own 1-thread baseline row;
-2. the engine is bit-identical across thread counts: `sweeps` and
-   `spanner_m` agree for every (algo, n, f, k) across all rows of the main
-   file, and across every supplied A/B file (--batch/--masked/--overlap/
-   --steal off) — scheduling knobs may never change decisions;
-3. no config regressed by more than the budget vs the checked-in per-config
+1. the engine knobs are bit-identical: `sweeps` and `spanner_m` agree for
+   every (algo, n, f, k) between the main file and every supplied A/B file
+   (--batch/--masked off) — the knobs may never change decisions;
+2. no config regressed by more than the budget vs the checked-in per-config
    floor (bench/ci_perf_floor.json): seconds <= floor_seconds * (1 + slack).
 
 --e16 mode validates a BENCH_e16_scale.json from the large-instance sweep.
-E16 floor entries are keyed on (family, scale, f, k, threads) and carry two
+E16 floor entries are keyed on (family, scale, f, k) and carry two
 gates per config: `seconds` (wall-clock, with the same relative slack) and
 `max_peak_rss_mb` (a hard memory ceiling — no slack; RSS regressions at
 scale are the failure mode this lane exists to catch).  An entry may also
@@ -108,7 +103,7 @@ def config_key(row):
 
 
 def e16_key(row):
-    return (row["family"], row["scale"], row["f"], row["k"], row["threads"])
+    return (row["family"], row["scale"], row["f"], row["k"])
 
 
 def load(path):
@@ -131,15 +126,14 @@ def check_e16(rows, floors, slack):
     indexed = {e16_key(r): r for r in rows}
     checked = 0
     for floor in floors:
-        key = (floor["family"], floor["scale"], floor["f"], floor["k"],
-               floor["threads"])
+        key = e16_key(floor)
         row = indexed.pop(key, None)
         if row is None:
             print("  (floor config %s not in this run — nightly-only)"
                   % (key,))
             continue
         checked += 1
-        cfg = "%s scale=%d f=%d k=%d threads=%d" % key
+        cfg = "%s scale=%d f=%d k=%d" % key
         budget = floor["seconds"] * (1.0 + slack)
         deltas.append((cfg, "seconds", row["seconds"], floor["seconds"],
                        budget))
@@ -180,9 +174,9 @@ def check_e16(rows, floors, slack):
                         "ci_perf_floor.json before landing a new config"
                         % (key,))
     for r in sorted(rows, key=e16_key):
-        print("  %-10s scale=%-2d f=%d k=%d threads=%d  %8.2fs  gen %6.2fs  "
+        print("  %-10s scale=%-2d f=%d k=%d  %8.2fs  gen %6.2fs  "
               "rss %6.0f MB  m(H)=%d  grafts=%d"
-              % (r["family"], r["scale"], r["f"], r["k"], r["threads"],
+              % (r["family"], r["scale"], r["f"], r["k"],
                  r["seconds"], r["gen_seconds"], r["peak_rss_mb"],
                  r["spanner_m"], r["tree_extends"]))
     emit_delta_table("E16 scale floor deltas", deltas)
@@ -463,60 +457,33 @@ def main():
               "deterministic")
         return 0
 
-    # 1. Multicore proof: the lane exists to measure threads, so a clamped
-    #    (threads_used == 1) run means the runner cannot validate anything.
-    multi = [r for r in rows if r["algo"] == "modified" and r["threads"] > 1]
-    if not multi:
-        failures.append("no multi-thread modified rows in %s" % args.main)
-    elif not any(r["threads_used"] > 1 for r in multi):
-        failures.append(
-            "every multi-thread row clamped to threads_used == 1 — the "
-            "runner is not multicore; nothing was measured")
-    for r in multi:
-        if r["speedup"] is None:
-            failures.append(
-                "row %s threads=%d has no measured speedup (null) — the "
-                "1-thread baseline row is missing" % (config_key(r), r["threads"]))
-
-    # 2. Bit-identity across thread counts and across the A/B knob files.
-    reference = {}
-    for r in rows:
-        key = config_key(r)
-        ident = (r["sweeps"], r["spanner_m"])
-        if key not in reference:
-            reference[key] = (ident, r["threads"])
-        elif reference[key][0] != ident:
-            failures.append(
-                "%s: threads=%s gives sweeps/spanner_m %s but threads=%s "
-                "gave %s — the engine is not bit-identical across thread "
-                "counts" % (key, r["threads"], ident, reference[key][1],
-                            reference[key][0]))
+    # 1. Bit-identity across the A/B knob files.
+    reference = {config_key(r): (r["sweeps"], r["spanner_m"]) for r in rows}
     for path in args.ab:
         for r in load(path):
             key = config_key(r)
             if key not in reference:
                 failures.append("%s: config %s absent from %s"
                                 % (path, key, args.main))
-            elif reference[key][0] != (r["sweeps"], r["spanner_m"]):
+            elif reference[key] != (r["sweeps"], r["spanner_m"]):
                 failures.append(
                     "%s: config %s gives sweeps/spanner_m %s but the main "
                     "run gave %s — an A/B knob changed decisions"
                     % (path, key, (r["sweeps"], r["spanner_m"]),
-                       reference[key][0]))
+                       reference[key]))
 
-    # 3. Regression gate against the checked-in floor.
+    # 2. Regression gate against the checked-in floor.
     floors = load_floors(args.floor, "e4")
     deltas = []
-    indexed = {(config_key(r) + (r["threads"],)): r for r in rows}
+    indexed = {config_key(r): r for r in rows}
     for floor in floors:
-        key = (floor["algo"], floor["n"], floor["f"], floor["k"],
-               floor["threads"])
+        key = config_key(floor)
         row = indexed.get(key)
         if row is None:
             failures.append("floor config %s missing from %s" % (key, args.main))
             continue
         budget = floor["seconds"] * (1.0 + args.slack)
-        deltas.append(("%s n=%d f=%d k=%d threads=%d" % key, "seconds",
+        deltas.append(("%s n=%d f=%d k=%d" % key, "seconds",
                        row["seconds"], floor["seconds"], budget))
         if row["seconds"] > budget:
             failures.append(
@@ -524,13 +491,8 @@ def main():
                 % (key, row["seconds"], floor["seconds"],
                    round(args.slack * 100), budget))
 
-    print("perf-multicore lane: %d rows, %d floor configs, %d A/B files"
+    print("e4 runtime lane: %d rows, %d floor configs, %d A/B files"
           % (len(rows), len(floors), len(args.ab)))
-    for r in sorted(multi, key=lambda r: (config_key(r), r["threads"])):
-        print("  %-28s threads=%d used=%d  %.4fs  speedup=%s"
-              % ("%s n=%d f=%d k=%d" % config_key(r), r["threads"],
-                 r["threads_used"], r["seconds"],
-                 "%.2fx" % r["speedup"] if r["speedup"] is not None else "null"))
     emit_delta_table("E4 runtime floor deltas", deltas)
 
     if failures:
@@ -538,7 +500,7 @@ def main():
         for failure in failures:
             print("  - " + failure, file=sys.stderr)
         return 1
-    print("all checks passed: multicore measured, bit-identical, within floor")
+    print("all checks passed: bit-identical across knobs, within floor")
     return 0
 
 

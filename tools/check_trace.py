@@ -9,18 +9,19 @@ ftspan_cli) is structurally sound before it is uploaded as an artifact:
    (no orphan E, no unclosed B) and timestamps are monotone within a track,
    so Perfetto's importer will accept every track;
 3. the trace actually covers the instrumented subsystems: at least
-   --min-categories distinct categories (default 6 — window, steal, tree,
-   repair, graft, sweep is the engine taxonomy) and at least --min-tracks
-   named thread tracks;
+   --min-categories distinct categories (default 4 — tree, repair, graft,
+   sweep is the build taxonomy) and at least --min-tracks named thread
+   tracks;
 4. thread_name metadata is present for every tid that emitted events.
 
 Usage:
-  check_trace.py TRACE.json [--min-categories 6] [--min-tracks 2]
+  check_trace.py TRACE.json [--min-categories 4] [--min-tracks 2]
                  [--require-category CAT ...]
 
-Exits non-zero with a per-failure report.  A traced single-thread run emits
-no window/steal events, so the CI lane that asserts the full taxonomy runs
-the bench with threads > 1; local smoke can pass --min-categories 3.
+Exits non-zero with a per-failure report.  A build is one sequential scan
+and records on the main track only, so traced builds pass --min-tracks 1;
+an f >= 1 build emits no graft events, so its smoke can pass
+--min-categories 3.
 """
 
 import argparse
@@ -32,8 +33,8 @@ import sys
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace", help="Chrome trace-event JSON to validate")
-    parser.add_argument("--min-categories", type=int, default=6,
-                        help="distinct event categories required (default 6)")
+    parser.add_argument("--min-categories", type=int, default=4,
+                        help="distinct event categories required (default 4)")
     parser.add_argument("--min-tracks", type=int, default=2,
                         help="named thread tracks required (default 2)")
     parser.add_argument("--require-category", action="append", default=[],

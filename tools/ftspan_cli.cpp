@@ -8,13 +8,9 @@
 //                     list here never goes stale; see docs/ALGORITHMS.md)
 //                     [--alpha 0 --beta 0]   (alpha_beta only: the budgeted
 //                     test alpha*w+beta; 0/0 derives alpha=2k-1, beta=0)
-//                     [--threads 1] [--batch 1] [--masked 1] [--overlap 1]
-//                     [--steal 1]   (oracle engines; --threads 0 = all
-//                     hardware threads; --batch 0 disables terminal-batched
-//                     LBC, --masked 0 disables masked-tree repair,
-//                     --overlap 0 disables the pipelined commit/evaluate
-//                     windows, --steal 0 disables terminal-batch work
-//                     stealing — results are identical either way)
+//                     [--batch 1] [--masked 1]   (oracle engines; --batch 0
+//                     disables terminal-batched LBC, --masked 0 disables
+//                     masked-tree repair — results are identical either way)
 //                     [--trace out.trace.json] [--metrics out.metrics.json]
 //                     (record engine spans to Chrome trace JSON — load it at
 //                     https://ui.perfetto.dev — and/or dump the merged
@@ -22,7 +18,8 @@
 //   ftspan_cli verify --in g.graph --spanner h.graph [--k 2] [--f 1]
 //                     [--model vertex|edge] [--trials 200] [--exhaustive]
 //                     [--threads 1]   (sampled only; fans trials over the
-//                     shared pool, report identical at any count)
+//                     shared pool, 0 = all hardware threads; report
+//                     identical at any count)
 //                     [--scenario srlg|ball|adaptive|cascade]
 //                     [--groups 0] [--radius 0.2] [--restarts 3]
 //                     [--coords pts.txt]   (structured fault scenarios —
@@ -116,8 +113,8 @@ int usage() {
                " [--algo " +
                    spanner_algo_names() +
                    "]"
-                   " [--alpha 0] [--beta 0] [--seed 1] [--threads 1]"
-                   " [--batch 1] [--masked 1] [--overlap 1] [--steal 1]"
+                   " [--alpha 0] [--beta 0] [--seed 1]"
+                   " [--batch 1] [--masked 1]"
                    " [--trace T.json] [--metrics M.json]\n"
                "  verify --in G --spanner H [--k 2] [--f 1]"
                " [--model vertex|edge] [--trials 200] [--exhaustive]"
@@ -170,12 +167,6 @@ int cmd_build(const Cli& cli) {
   options.seed = cli.get_uint("seed", 1);
   options.alpha = cli.get_double("alpha", 0.0);
   options.beta = cli.get_double("beta", 0.0);
-  const std::uint64_t threads = cli.get_uint("threads", 1);
-  if (threads > 4096)
-    throw std::invalid_argument("--threads must be in [0, 4096] (0 = auto)");
-  options.engine.exec.threads = static_cast<std::uint32_t>(threads);
-  options.engine.exec.overlap = cli.get_int("overlap", 1) != 0;
-  options.engine.exec.steal = cli.get_int("steal", 1) != 0;
   options.engine.batch_terminals = cli.get_int("batch", 1) != 0;
   options.engine.masked_tree = cli.get_int("masked", 1) != 0;
 
@@ -189,23 +180,10 @@ int cmd_build(const Cli& cli) {
             << " s";
   if (build.stats.oracle_calls > 0)
     std::cout << ", " << build.stats.oracle_calls << " decisions";
-  if (build.stats.threads > 1)
-    std::cout << ", " << build.stats.threads << " threads";
   if (build.stats.exact_searches > 0)
     std::cout << ", " << build.stats.exact_searches
               << " exact fault-set searches ("
               << build.stats.exact_search_nodes << " nodes)";
-  if (build.stats.spec_evaluated > 0)
-    std::cout << ", speculation hit rate "
-              << (100.0 * static_cast<double>(build.stats.oracle_calls) /
-                  static_cast<double>(build.stats.spec_evaluated))
-              << "%";
-  if (build.stats.overlap_windows > 0)
-    std::cout << ", " << build.stats.overlap_windows
-              << " windows evaluated during commits";
-  if (build.stats.stolen_chunks > 0)
-    std::cout << ", " << build.stats.stolen_chunks
-              << " chunks split off dominant batches";
   if (build.stats.batched_sweeps > 0)
     std::cout << ", " << build.stats.tree_reuse_hits
               << " BFS runs saved by terminal batching";
@@ -235,11 +213,10 @@ int cmd_verify(const Cli& cli) {
     report = verify_exhaustive(g, h, params);
   } else {
     Rng rng(cli.get_uint("seed", 1));
-    const std::uint64_t threads = cli.get_uint("threads", 1);
-    if (threads > 4096)
+    const std::uint64_t requested = cli.get_uint("threads", 1);
+    if (requested > 4096)
       throw std::invalid_argument("--threads must be in [0, 4096] (0 = auto)");
-    ExecPolicy exec;
-    exec.threads = static_cast<std::uint32_t>(threads);
+    const auto threads = static_cast<std::uint32_t>(requested);
     const auto trials = static_cast<std::uint32_t>(cli.get_uint("trials", 200));
     const std::string scenario_name = cli.get("scenario", "");
     if (!scenario_name.empty()) {
@@ -270,9 +247,9 @@ int cmd_verify(const Cli& cli) {
       }
       std::cout << "scenario " << to_string(*kind) << ", " << trials
                 << " trials\n";
-      report = verify_scenario(g, h, params, spec, trials, rng, exec);
+      report = verify_scenario(g, h, params, spec, trials, rng, threads);
     } else {
-      report = verify_sampled(g, h, params, trials, rng, exec);
+      report = verify_sampled(g, h, params, trials, rng, threads);
     }
     if (report.trials_skipped > 0)
       std::cout << "skipped " << report.trials_skipped
