@@ -52,49 +52,23 @@ int main(int argc, char** argv) {
                "the open problem's difficulty.\n";
 
   // Contrast: batch size 1 is Algorithm 4, where the sequential engine's
-  // terminal batching and masked-tree repair cut the physical BFS count
-  // without giving up any size — same picks, same sweeps, less work.
+  // terminal batching cuts the physical BFS count without giving up any
+  // size — same picks, same sweeps, less work.
   std::cout << "\nsequential engine (batch size 1) BFS-sharing ablation:\n";
-  Table ablation({"terminal batching", "masked-tree repair", "m(H)", "sweeps",
-                  "tree-hits", "masked-hits", "repairs",
-                  "masked_repair_cost_ratio", "secs"});
+  Table ablation({"terminal batching", "m(H)", "sweeps", "tree-hits", "secs"});
   for (const bool batch : {false, true}) {
-    for (const bool masked : {false, true}) {
-      if (masked && !batch) continue;  // masked repair rides on batching
-      ModifiedGreedyConfig config;
-      config.batch_terminals = batch;
-      config.masked_tree = masked;
-      const auto build = modified_greedy_spanner(g, params, config);
-      // Per-sweep price of a masked answer served by in-place repair vs one
-      // answered by a dedicated masked BFS, within the same build: the
-      // decision quantity for an adaptive masking heuristic.  > 1 means the
-      // Even-Shiloach repair waves cost more arcs than just re-running BFS
-      // (the Kronecker-hub pathology); "-" when either side has no samples.
-      const auto& s = build.stats;
-      std::string ratio = "-";
-      if (s.masked_reuse_hits > 0 && s.dedicated_masked_sweeps > 0 &&
-          s.dedicated_masked_arcs > 0) {
-        const double repair_per_sweep =
-            static_cast<double>(s.repair_cost_arcs) /
-            static_cast<double>(s.masked_reuse_hits);
-        const double dedicated_per_sweep =
-            static_cast<double>(s.dedicated_masked_arcs) /
-            static_cast<double>(s.dedicated_masked_sweeps);
-        ratio = Table::num(repair_per_sweep / dedicated_per_sweep, 2);
-      }
-      ablation.add_row(
-          {batch ? "on" : "off", masked ? "on" : "off",
-           Table::num(build.spanner.m()),
-           Table::num(static_cast<long long>(s.search_sweeps)),
-           Table::num(static_cast<long long>(s.tree_reuse_hits)),
-           Table::num(static_cast<long long>(s.masked_reuse_hits)),
-           Table::num(static_cast<long long>(s.masked_tree_repairs)), ratio,
-           Table::num(s.seconds, 3)});
-    }
+    ModifiedGreedyConfig config;
+    config.batch_terminals = batch;
+    const auto build = modified_greedy_spanner(g, params, config);
+    const auto& s = build.stats;
+    ablation.add_row({batch ? "on" : "off", Table::num(build.spanner.m()),
+                      Table::num(static_cast<long long>(s.search_sweeps)),
+                      Table::num(static_cast<long long>(s.tree_reuse_hits)),
+                      Table::num(s.seconds, 3)});
   }
   ablation.print(std::cout);
   std::cout << "\npicks, certificates, and sweep counts are bit-identical "
-               "across all three rows; only the physical BFS count drops.\n";
+               "across both rows; only the physical BFS count drops.\n";
 
   return 0;
 }

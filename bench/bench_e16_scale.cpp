@@ -9,17 +9,11 @@
 // arenas reach their high-water mark).  Graph generation is timed separately
 // (gen_seconds) so the build column is the spanner build alone.
 //
-// Engine defaults differ from E4, deliberately, because hub-heavy degree
-// distributions invert two E4 conclusions:
-//   * --masked defaults to 0: eager Even-Shiloach repair cascades through
-//     Kronecker hubs and loses 5x against the dedicated masked BFS it
-//     replaces (measured scale 14, f=1: 42.9s masked vs 7.9s unmasked).
-//   * --f defaults to 0 for the scale sweep: the alpha == 0 tree-graft path
-//     (LbcSolver::extend_batch_after_accept) keeps one shared tree alive
-//     across accepts, which is what makes the 2^20 configuration tractable
-//     single-threaded.  f >= 1 rows remain fully supported at the smaller
-//     scales (the nightly sweep runs one).
-// Both knobs are bit-identical by contract — they move time, never results.
+// --f defaults to 0 for the scale sweep, unlike E4: the alpha == 0
+// tree-graft path (LbcSolver::extend_batch_after_accept) keeps one shared
+// tree alive across accepts, which is what makes the 2^20 configuration
+// tractable single-threaded.  f >= 1 rows remain fully supported at the
+// smaller scales (the nightly sweep runs one).
 //
 // Writes BENCH_e16_scale.json; tools/check_perf_floor.py --e16 gates the CI
 // perf-multicore lane on the checked-in seconds + max_peak_rss_mb floors
@@ -104,14 +98,9 @@ struct RunResult {
   std::uint64_t tree_extends = 0;
 };
 
-struct EngineKnobs {
-  bool batch = true;
-  bool masked = false;  // hub pathology: see the header comment
-};
-
 RunResult run_config(const std::string& family, std::size_t scale,
                      std::size_t edgefactor, std::uint32_t f, std::uint32_t k,
-                     std::uint64_t seed, const EngineKnobs& knobs) {
+                     std::uint64_t seed, bool batch) {
   RunResult out;
   out.family = family;
   out.scale = scale;
@@ -130,8 +119,7 @@ RunResult run_config(const std::string& family, std::size_t scale,
   out.graph_bytes = g.memory_bytes();
 
   ModifiedGreedyConfig config;
-  config.batch_terminals = knobs.batch;
-  config.masked_tree = knobs.masked;
+  config.batch_terminals = batch;
   const AllocSnapshot before = alloc_now();
   const Timer timer;
   const SpannerBuild build =
@@ -199,6 +187,8 @@ bool write_json(const std::string& path, const std::vector<RunResult>& results) 
 int main(int argc, char** argv) {
   using namespace ftspan;
   const Cli cli(argc, argv);
+  cli.require_known({"seed", "scales", "family", "edgefactor", "f", "k",
+                     "batch", "out", "trace", "trace-ring", "metrics"});
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 42));
   const auto scales = parse_scales(cli.get("scales", "17,18,19,20"));
   const std::string family = cli.get("family", "kronecker");
@@ -208,9 +198,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_uint("edgefactor", 16));
   const auto f = static_cast<std::uint32_t>(cli.get_uint("f", 0));
   const auto k = static_cast<std::uint32_t>(cli.get_uint("k", 2));
-  EngineKnobs knobs;
-  knobs.batch = cli.get_int("batch", 1) != 0;
-  knobs.masked = cli.get_int("masked", 0) != 0;
+  const bool batch = cli.get_int("batch", 1) != 0;
   const auto json_path = cli.get("out", "BENCH_e16_scale.json");
   const bench::ObsFlags obs = bench::obs_flags(cli);
 
@@ -227,7 +215,7 @@ int main(int argc, char** argv) {
   std::vector<RunResult> results;
   for (const std::size_t scale : scales) {
     results.push_back(
-        run_config(family, scale, edgefactor, f, k, seed, knobs));
+        run_config(family, scale, edgefactor, f, k, seed, batch));
     const auto& r = results.back();
     std::cout << family << " scale=" << scale << " done: n=" << r.n
               << " m=" << r.m << " build=" << r.seconds << "s (gen "

@@ -37,22 +37,15 @@ struct RunResult {
   std::uint64_t sweeps = 0;
   std::uint64_t batched_sweeps = 0;
   std::uint64_t tree_reuse_hits = 0;
-  std::uint64_t masked_reuse_hits = 0;
-  std::uint64_t masked_tree_repairs = 0;
   std::uint64_t arcs_traversed = 0;
   std::uint64_t arena_bytes = 0;
-};
-
-struct EngineKnobs {
-  bool batch = true;
-  bool masked = true;
 };
 
 /// Best-of-`reps` timing of one greedy build (min is the stablest statistic
 /// for a deterministic workload on a shared machine).
 RunResult run_config(const std::string& algo, std::size_t n, std::uint32_t f,
                      std::uint32_t k, std::uint32_t reps, std::uint64_t seed,
-                     const EngineKnobs& knobs) {
+                     bool batch) {
   Rng rng(seed + n);
   const auto [g, gen_seconds] =
       bench::timed_gen([&] { return bench::gnp_with_degree(n, 16.0, rng); });
@@ -64,8 +57,7 @@ RunResult run_config(const std::string& algo, std::size_t n, std::uint32_t f,
   out.f = f;
   out.k = k;
   ModifiedGreedyConfig config;
-  config.batch_terminals = knobs.batch;
-  config.masked_tree = knobs.masked;
+  config.batch_terminals = batch;
   out.seconds = std::numeric_limits<double>::infinity();
   for (std::uint32_t rep = 0; rep < reps; ++rep) {
     const Timer timer;
@@ -81,8 +73,6 @@ RunResult run_config(const std::string& algo, std::size_t n, std::uint32_t f,
       out.sweeps = build.stats.search_sweeps;
       out.batched_sweeps = build.stats.batched_sweeps;
       out.tree_reuse_hits = build.stats.tree_reuse_hits;
-      out.masked_reuse_hits = build.stats.masked_reuse_hits;
-      out.masked_tree_repairs = build.stats.masked_tree_repairs;
       out.arcs_traversed = build.stats.arcs_traversed;
       out.arena_bytes = build.stats.arena_bytes;
     }
@@ -103,8 +93,6 @@ bool write_json(const std::string& path, const std::vector<RunResult>& results) 
         << ", \"sweeps\": " << r.sweeps
         << ", \"batched_sweeps\": " << r.batched_sweeps
         << ", \"tree_reuse_hits\": " << r.tree_reuse_hits
-        << ", \"masked_reuse_hits\": " << r.masked_reuse_hits
-        << ", \"masked_tree_repairs\": " << r.masked_tree_repairs
         << ", \"arcs_traversed\": " << r.arcs_traversed
         << ", \"arena_bytes\": " << r.arena_bytes << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
@@ -118,12 +106,12 @@ bool write_json(const std::string& path, const std::vector<RunResult>& results) 
 int main(int argc, char** argv) {
   using namespace ftspan;
   const Cli cli(argc, argv);
+  cli.require_known(
+      {"seed", "reps", "batch", "out", "trace", "trace-ring", "metrics"});
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 42));
   const auto reps = static_cast<std::uint32_t>(
       std::max<std::int64_t>(1, cli.get_int("reps", 3)));
-  EngineKnobs knobs;
-  knobs.batch = cli.get_int("batch", 1) != 0;
-  knobs.masked = cli.get_int("masked", 1) != 0;
+  const bool batch = cli.get_int("batch", 1) != 0;
   const auto json_path = cli.get("out", "BENCH_e4_runtime.json");
   const bench::ObsFlags obs = bench::obs_flags(cli);
 
@@ -144,18 +132,17 @@ int main(int argc, char** argv) {
       {128, 4, 2},  {512, 2, 3}, {1024, 2, 2}, {2048, 2, 2},
   };
   for (const auto& c : modified)
-    results.push_back(run_config("modified", c.n, c.f, c.k, reps, seed, knobs));
+    results.push_back(run_config("modified", c.n, c.f, c.k, reps, seed, batch));
 
   // Exact greedy: the exponential baseline, feasible only on tiny inputs.
   const struct { std::size_t n; std::uint32_t f, k; } exact[] = {
       {16, 1, 2}, {16, 2, 2}, {32, 1, 2},
   };
   for (const auto& c : exact)
-    results.push_back(run_config("exact", c.n, c.f, c.k, reps, seed, knobs));
+    results.push_back(run_config("exact", c.n, c.f, c.k, reps, seed, batch));
 
   Table table({"algo", "n", "m(G)", "f", "k", "m(H)", "secs", "oracle-calls",
-               "sweeps", "batched", "tree-hits", "masked-hits", "repairs",
-               "arcs", "arena-B"});
+               "sweeps", "batched", "tree-hits", "arcs", "arena-B"});
   for (const auto& r : results)
     table.add_row({r.algo, Table::num(r.n), Table::num(r.m),
                    Table::num(static_cast<long long>(r.f)),
@@ -165,8 +152,6 @@ int main(int argc, char** argv) {
                    Table::num(static_cast<long long>(r.sweeps)),
                    Table::num(static_cast<long long>(r.batched_sweeps)),
                    Table::num(static_cast<long long>(r.tree_reuse_hits)),
-                   Table::num(static_cast<long long>(r.masked_reuse_hits)),
-                   Table::num(static_cast<long long>(r.masked_tree_repairs)),
                    Table::num(static_cast<long long>(r.arcs_traversed)),
                    Table::num(static_cast<long long>(r.arena_bytes))});
   table.print(std::cout);

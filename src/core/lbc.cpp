@@ -8,13 +8,9 @@ namespace ftspan {
 namespace {
 
 const obs::Counter c_sweep_tree("sweep.tree_served");
-const obs::Counter c_sweep_masked("sweep.masked_repair_served");
 const obs::Counter c_sweep_dedicated("sweep.dedicated");
 const obs::Counter c_tree_sessions("tree.sessions");
 const obs::Counter c_tree_grafts("tree.grafts");
-const obs::Counter c_tree_repairs("tree.repairs");
-const obs::Counter c_tree_rollbacks("tree.rollbacks");
-const obs::Gauge g_repair_wave("repair.wave.max");
 const obs::Gauge g_graft_wave("graft.wave.max");
 
 }  // namespace
@@ -146,11 +142,6 @@ LbcResult LbcSolver::run_decision(const Graph& g, VertexId u, VertexId v,
   else
     cut_view.failed_edges = edge_cut_.bytes();
 
-  // Masked-tree mode: sweeps >= 1 read the shared terminal tree, repaired
-  // in place after each sweep's cut growth and rolled back at decision end.
-  const bool masked_tree = sweep0_from_tree && masked_tree_;
-  bool repaired = false;
-
   for (std::uint32_t i = 0; i <= alpha; ++i) {
     ++result.sweeps;
     ++total_sweeps_;
@@ -163,15 +154,6 @@ LbcResult LbcSolver::run_decision(const Graph& g, VertexId u, VertexId v,
       c_sweep_tree.add();
       found = tree_bfs_.tree_next(v) <= t;
       if (found) tree_bfs_.path_arcs_to(v, path_);
-    } else if (masked_tree && i > 0) {
-      // Masked sweep served from the repaired tree: distance and lex-min
-      // path are bit-identical to the dedicated BFS below.
-      const obs::ScopedSpan span("sweep", "masked_repair_served", "target", v,
-                                 "sweep", i);
-      ++masked_sweeps_;
-      c_sweep_masked.add();
-      found = tree_bfs_.tree_masked_dist(v) <= t;
-      if (found) tree_bfs_.tree_masked_path_arcs(v, path_);
     } else {
       // Sweep 0 runs before anything is cut; handing the BFS an empty view
       // lets it dispatch to the no-mask specialization (≈70% of all sweeps).
@@ -181,13 +163,7 @@ LbcResult LbcSolver::run_decision(const Graph& g, VertexId u, VertexId v,
       const FaultView faults = i == 0 ? FaultView{} : cut_view;
       const ArcIndex before = bfs_.arcs_scanned();
       found = bfs_.shortest_path_arcs(g, u, v, path_, faults, t);
-      if (i > 0) {
-        // A dedicated run under a non-empty cut is exactly the sweep the
-        // masked-tree repair path would have served: meter its arc cost so
-        // the repair-vs-dedicated ratio can be formed across A/B runs.
-        ++dedicated_masked_sweeps_;
-        dedicated_masked_arcs_ += bfs_.arcs_scanned() - before;
-      }
+      if (i > 0) dedicated_masked_arcs_ += bfs_.arcs_scanned() - before;
     }
     if (!found) {
       result.yes = true;
@@ -195,39 +171,12 @@ LbcResult LbcSolver::run_decision(const Graph& g, VertexId u, VertexId v,
     }
     if (model_ == FaultModel::vertex) {
       // Interior vertices only; u and v may never be cut.
-      const std::size_t before = vertex_cut_.touched().size();
       for (std::size_t j = 1; j + 1 < path_.size(); ++j)
         vertex_cut_.set(path_[j].to);
-      if (masked_tree && i < alpha) {  // the last sweep's cut is never read
-        obs::ScopedSpan span("repair", "cut", "sweep", i);
-        const std::size_t wave =
-            tree_bfs_.tree_repair_cut(vertex_cut_.touched().subspan(before),
-                                      std::span<const EdgeId>{}, cut_view);
-        span.end_args("wave", wave);
-        c_tree_repairs.add();
-        g_repair_wave.update(wave);
-        repaired = true;
-      }
     } else {
       // Every step after the source carries the edge it arrived over.
-      const std::size_t before = edge_cut_.touched().size();
       for (std::size_t j = 1; j < path_.size(); ++j) edge_cut_.set(path_[j].edge);
-      if (masked_tree && i < alpha) {
-        obs::ScopedSpan span("repair", "cut", "sweep", i);
-        const std::size_t wave = tree_bfs_.tree_repair_cut(
-            std::span<const VertexId>{}, edge_cut_.touched().subspan(before),
-            cut_view);
-        span.end_args("wave", wave);
-        c_tree_repairs.add();
-        g_repair_wave.update(wave);
-        repaired = true;
-      }
     }
-  }
-  if (repaired) {
-    obs::instant("repair", "rollback");
-    c_tree_rollbacks.add();
-    tree_bfs_.tree_rollback();
   }
 
   const auto& touched = model_ == FaultModel::vertex ? vertex_cut_.touched()

@@ -42,15 +42,6 @@ class LbcSolver {
 
   [[nodiscard]] FaultModel model() const noexcept { return model_; }
 
-  /// Enables masked-tree repair for batched decisions: sweeps >= 1 run
-  /// against the shared terminal tree, repaired in place as the decision's
-  /// cut grows (BfsRunner::tree_repair_cut) and rolled back at decision end,
-  /// instead of one dedicated masked BFS per sweep.  Decisions,
-  /// certificates, and sweep counts are bit-identical either way
-  /// (tests/differential_test.cpp pins this against the dedicated oracle).
-  void set_masked_tree(bool on) noexcept { masked_tree_ = on; }
-  [[nodiscard]] bool masked_tree() const noexcept { return masked_tree_; }
-
   /// Decides LBC(t, alpha) for terminals u, v on g.
   /// Requires u != v, both in range, t >= 1.
   LbcResult decide(const Graph& g, VertexId u, VertexId v, std::uint32_t t,
@@ -144,44 +135,10 @@ class LbcSolver {
     return tree_extends_;
   }
 
-  /// Masked sweeps served from the repaired shared tree — each one is a
-  /// dedicated masked BFS run eliminated (instrumentation; each still
-  /// counts 1 in total_sweeps()).
-  [[nodiscard]] std::uint64_t masked_reuse_hits() const noexcept {
-    return masked_sweeps_;
-  }
-
-  /// In-place tree repairs applied under growing cuts (instrumentation).
-  [[nodiscard]] std::uint64_t masked_tree_repairs() const noexcept {
-    return tree_bfs_.tree_repairs();
-  }
-
-  // --- repair-cost vs dedicated-cost meters (adaptive-masking baseline) ---
-  //
-  // The two ways to serve a masked sweep (>= 1) of a batched decision are
-  // in-place tree repair (masked_tree on) and a dedicated masked BFS
-  // (masked_tree off).  These meters price both in the same unit —
-  // adjacency rows scanned — so a run with each setting yields the
-  // per-sweep cost ratio the ROADMAP's adaptive masked/dedicated heuristic
-  // needs (bench_e15_batched's masked_repair_cost_ratio column).
-
-  /// Arcs scanned by the masked-tree repair machinery (Even-Shiloach waves
-  /// + lazy lex-min tournaments), cumulative.  The in-place price of the
-  /// masked_reuse_hits() sweeps; NOT included in arcs_scanned().
-  [[nodiscard]] ArcIndex repair_cost_arcs() const noexcept {
-    return tree_bfs_.repair_arcs();
-  }
-
-  /// Arcs scanned by dedicated masked BFS sweeps (i >= 1 decided without
-  /// the repaired tree), cumulative — the price masked sweeps pay when
-  /// masked_tree is off.  Subset of arcs_scanned().
+  /// Arcs scanned by masked sweeps (i >= 1, each a dedicated BFS under the
+  /// decision's cut), cumulative.  Subset of arcs_scanned().
   [[nodiscard]] ArcIndex dedicated_masked_arcs() const noexcept {
     return dedicated_masked_arcs_;
-  }
-
-  /// Number of sweeps metered by dedicated_masked_arcs().
-  [[nodiscard]] std::uint64_t dedicated_masked_sweeps() const noexcept {
-    return dedicated_masked_sweeps_;
   }
 
   /// Adjacency arcs scanned by every search this solver ran (all runners,
@@ -207,7 +164,6 @@ class LbcSolver {
                          bool sweep0_from_tree);
 
   FaultModel model_;
-  bool masked_tree_ = false;
   BfsRunner bfs_;
   BfsRunner tree_bfs_;  ///< holds the shared tree; bfs_ serves sweeps >= 1
   DijkstraRunner dijkstra_;  ///< serves decide_weighted sweeps only
@@ -217,9 +173,7 @@ class LbcSolver {
   std::uint64_t total_sweeps_ = 0;
   std::uint64_t trees_built_ = 0;
   std::uint64_t batched_sweeps_ = 0;
-  std::uint64_t masked_sweeps_ = 0;
   std::uint64_t tree_extends_ = 0;
-  std::uint64_t dedicated_masked_sweeps_ = 0;
   ArcIndex dedicated_masked_arcs_ = 0;
 
   // Open batch (valid until the next begin_batch / decide on this solver).

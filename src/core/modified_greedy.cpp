@@ -54,7 +54,6 @@ SpannerBuild modified_greedy_spanner(const Graph& g, const SpannerParams& params
   SpannerBuild build;
   build.spanner = Graph(g.n(), g.weighted());
   LbcSolver lbc(params.model);
-  lbc.set_masked_tree(config.masked_tree);
 
   const std::uint32_t t =
       config.hop_budget != 0 ? config.hop_budget : params.stretch();
@@ -123,14 +122,10 @@ SpannerBuild modified_greedy_spanner(const Graph& g, const SpannerParams& params
   build.stats.search_sweeps = lbc.total_sweeps();
   build.stats.batched_sweeps = lbc.batched_sweeps();
   build.stats.tree_reuse_hits = lbc.tree_reuse_hits();
-  build.stats.masked_reuse_hits = lbc.masked_reuse_hits();
-  build.stats.masked_tree_repairs = lbc.masked_tree_repairs();
   build.stats.tree_extends = lbc.tree_extends();
   build.stats.arcs_traversed = lbc.arcs_scanned();
   build.stats.arena_bytes = lbc.arena_bytes();
-  build.stats.repair_cost_arcs = lbc.repair_cost_arcs();
   build.stats.dedicated_masked_arcs = lbc.dedicated_masked_arcs();
-  build.stats.dedicated_masked_sweeps = lbc.dedicated_masked_sweeps();
   build.stats.seconds = timer.seconds();
   return build;
 }

@@ -36,14 +36,6 @@ struct ModifiedGreedyConfig {
   /// bit-identical either way (stats.tree_reuse_hits counts the saved BFS
   /// runs); the switch exists for A/B benchmarks and equivalence tests.
   bool batch_terminals = true;
-  /// Serve the masked sweeps (>= 1) of batched decisions from the shared
-  /// terminal tree, repaired incrementally as each decision's cut grows
-  /// (BfsRunner::tree_repair_cut) instead of one dedicated masked BFS per
-  /// sweep.  Only takes effect inside terminal batches (batch_terminals).
-  /// Decisions, certificates, and sweep counts are bit-identical either way
-  /// (stats.masked_reuse_hits counts the eliminated BFS runs); the switch
-  /// exists for A/B benchmarks and the differential tests.
-  bool masked_tree = true;
   /// Hop budget handed to every LBC(t, f) decision; 0 = the paper's
   /// t = 2k - 1 (params.stretch()).  Set by the (alpha, beta)-greedy front
   /// end (src/spanner/alpha_beta.h), whose unweighted test "exists a path of

@@ -27,12 +27,10 @@ struct SpannerBuildStats {
   /// beyond the first of each tree session, so physical sweep-0 runs =
   /// logical sweeps - tree_reuse_hits.
   std::uint64_t tree_reuse_hits = 0;
-  /// Masked sweeps (>= 1) served from the incrementally repaired shared
-  /// tree instead of a dedicated masked BFS — the masked-tree analogue of
-  /// tree_reuse_hits.
+  /// Always 0 since masked-tree repair was removed: every masked sweep
+  /// (>= 1) runs a dedicated BFS.  Kept because the perfbench harness
+  /// reports it.
   std::uint64_t masked_reuse_hits = 0;
-  /// In-place terminal-tree repairs applied under growing cuts.
-  std::uint64_t masked_tree_repairs = 0;
   /// Accepts survived in place by grafting the new edge into the shared
   /// terminal tree (alpha == 0 fast path) — each one is a full tree
   /// re-expansion eliminated.  0 whenever f >= 1.
@@ -44,19 +42,11 @@ struct SpannerBuildStats {
   /// Bytes held by the search arenas at build end (slab-quantized runner
   /// state, cut masks, path buffers).
   std::uint64_t arena_bytes = 0;
-  /// Arcs scanned by the masked-tree repair machinery (Even-Shiloach waves
-  /// plus lazy lex-min tournaments) — the in-place price of the
-  /// masked_reuse_hits sweeps.  Not part of arcs_traversed.
+  /// Always 0 since masked-tree repair was removed (see masked_reuse_hits).
   std::uint64_t repair_cost_arcs = 0;
-  /// Arcs scanned by dedicated masked BFS sweeps (sweeps >= 1 decided
-  /// without the repaired tree) — the price the same sweeps pay when
-  /// masked_tree is off.  repair_cost_arcs / masked_reuse_hits vs
-  /// dedicated_masked_arcs / dedicated_masked_sweeps across an A/B pair is
-  /// the adaptive-masking heuristic's per-sweep cost ratio
-  /// (bench_e15_batched's masked_repair_cost_ratio column).
+  /// Arcs scanned by masked sweeps (>= 1), each a dedicated BFS under the
+  /// decision's cut.  Part of arcs_traversed.
   std::uint64_t dedicated_masked_arcs = 0;
-  /// Number of sweeps metered by dedicated_masked_arcs.
-  std::uint64_t dedicated_masked_sweeps = 0;
   /// Exponential fault-set searches actually run.  Algorithm 1 pays one per
   /// scanned edge; the BDPVW hybrid (src/spanner/bdpvw_vft.h) pays one only
   /// for decisions its LBC prefilter could not settle, so this is the

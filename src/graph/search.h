@@ -109,8 +109,8 @@ class BfsRunner {
   /// bench's arcs-traversed column.
   [[nodiscard]] ArcIndex arcs_scanned() const noexcept { return arcs_scanned_; }
 
-  /// Bytes currently held by this runner's per-vertex state, queue, and
-  /// repair buffers (capacities, i.e. what the allocator actually granted).
+  /// Bytes currently held by this runner's per-vertex state, queues, and
+  /// session marks (capacities, i.e. what the allocator actually granted).
   [[nodiscard]] std::size_t arena_bytes() const noexcept;
 
   // --- terminal-tree sessions (terminal-batched LBC, src/core/lbc.h) ---
@@ -161,88 +161,13 @@ class BfsRunner {
   /// for the improved region.  Callers that consume only the distance
   /// answers — LBC(t, 0) decisions, which build no cut — get bit-identical
   /// results at a fraction of a full re-expansion; anything reading paths
-  /// or repair state must re-begin the session instead (LbcSolver gates
-  /// this on alpha == 0).
+  /// must re-begin the session instead (LbcSolver gates this on alpha == 0).
   ///
   /// Requires: an open session whose expansion is exhausted (the accepting
   /// unreachable answer guarantees this), and v not yet reached by it.
   /// Returns the graft wave size: vertices whose distance the improvement
   /// BFS touched (0 when the source or target is failed).
   std::size_t tree_insert_source_arc(VertexId v, EdgeId via_edge);
-
-  // --- incremental repair under a growing cut (masked-tree LBC) -----------
-  //
-  // Once a session's tree is complete, it can survive cut growth: instead of
-  // re-running a dedicated BFS for every masked sweep of an LBC decision,
-  // tree_repair_cut() repairs the shared tree in place and the masked
-  // queries read the repaired structure.  The repaired answers are
-  // bit-identical to a dedicated masked BFS because the discovery-order BFS
-  // tree has an order-free characterization: every vertex's tree path is the
-  // shortest path whose sequence of adjacency-row indices is
-  // lexicographically minimal ("lex-min"), and under a growing mask the only
-  // vertices whose lex-min chain can change are the tree descendants of the
-  // newly cut elements (masking never creates paths, so no surviving chain
-  // can be beaten by a new one).  Repair therefore:
-  // splits in two:
-  //   1. distances repair EAGERLY (Even-Shiloach): starting from the
-  //      dependents of the newly cut elements, a vertex keeps its level iff
-  //      some alive arc still reaches a vertex one level up, else it sinks
-  //      level by level (its own dependents re-checked), falling off the
-  //      tree past max_hops — no tournaments, touch set proportional to the
-  //      vertices whose distance actually changes;
-  //   2. parent arcs repair LAZILY (repair_resolve): sigma monotonicity
-  //      means an intact stored chain is still lex-min, so only the chains a
-  //      query actually reads (the reported path)
-  //      are validated in O(depth), and only genuinely broken ones re-run
-  //      the lex-min tournament one level up.
-  // Every overlay write is logged so tree_rollback() restores the clean
-  // tree in O(log size) for the next decision of the batch.  All repair
-  // state lives beside the session (the search arrays themselves are never
-  // touched), so pending tree_next answers are unaffected.
-
-  /// Expands the open session to exhaustion (the full <= max_hops ball).
-  /// Every pending target is answered exactly as an explicit tree_next
-  /// would have answered it; later tree_next calls just read the memo.
-  void tree_complete();
-
-  /// Applies one cut increment to the (completed) tree of the open session:
-  /// `vertices` leave the graph entirely (vertex fault model), `edges` are
-  /// the newly failed edge ids (edge model), and `cut` must view the FULL
-  /// accumulated cut (used for arc-alive checks while re-attaching).
-  /// Requires a session with finite max_hops; completes the tree on first
-  /// use.  Repairs accumulate until tree_rollback().  Returns the repair
-  /// wave size: vertices whose distance this increment changed.
-  std::size_t tree_repair_cut(std::span<const VertexId> vertices,
-                              std::span<const EdgeId> edges,
-                              const FaultView& cut);
-
-  /// Masked hop distance of `v` in the repaired tree: bit-identical to what
-  /// a dedicated BFS under the accumulated cut would report (cut and
-  /// beyond-max_hops vertices report kUnreachableHops).
-  [[nodiscard]] std::uint32_t tree_masked_dist(VertexId v) const;
-
-  /// Lex-min masked shortest path to `v` (which must satisfy
-  /// tree_masked_dist(v) <= max_hops), bit-identical to
-  /// shortest_path_arcs under the accumulated cut.  Resolves the chain
-  /// lazily (hence non-const).
-  void tree_masked_path_arcs(VertexId v, std::vector<PathStep>& out);
-
-  /// Undoes every tree_repair_cut since the last rollback, restoring the
-  /// clean shared tree (cost proportional to the repairs performed).
-  void tree_rollback();
-
-  /// Cut increments applied via tree_repair_cut (instrumentation).
-  [[nodiscard]] std::uint64_t tree_repairs() const noexcept {
-    return repair_count_;
-  }
-
-  /// Adjacency arcs scanned by the masked-tree repair machinery, cumulative:
-  /// seed/support/sink scans of tree_repair_cut plus lazy repair_resolve
-  /// tournaments, at the same row granularity as arcs_scanned() (which does
-  /// NOT include these — repair work is the *alternative* to dedicated
-  /// masked sweeps, so it is metered separately; the ratio of the two is the
-  /// adaptive-masking heuristic's decision variable).
-  [[nodiscard]] ArcIndex repair_arcs() const noexcept { return repair_arcs_; }
 
   /// Pre-sizes the per-vertex state — including the terminal-tree session
   /// arrays — for graphs with up to `n` vertices, so the first search or
@@ -252,7 +177,6 @@ class BfsRunner {
   void reserve(std::size_t n) {
     ensure(n);
     ensure_session_arrays();
-    ensure_repair_arrays();
   }
 
  private:
@@ -270,25 +194,10 @@ class BfsRunner {
   std::uint32_t tree_next_impl(VertexId v);
   void ensure(std::size_t n);
   void ensure_session_arrays();
-  void ensure_repair_arrays();
   void begin_epoch();
 
   /// Vertex-universe capacity the state arrays are sized for.
   [[nodiscard]] std::size_t capacity() const noexcept { return stamp_.size(); }
-
-  // --- repair internals ---
-  /// One logged write: repair_arrays()[array][index] held `value`.
-  struct RepairLogEntry {
-    std::uint8_t array;
-    VertexId index;
-    std::uint32_t value;
-  };
-  std::vector<std::uint32_t>& repair_array(std::uint8_t id);
-  void repair_init();
-  void repair_set(std::uint8_t array, VertexId index, std::uint32_t value);
-  void repair_enqueue(VertexId w);
-  void repair_resolve(VertexId w);
-  bool sigma_less(VertexId a, VertexId b) const;
 
   std::vector<std::uint32_t> dist_;
   std::vector<std::uint32_t> stamp_;
@@ -298,7 +207,6 @@ class BfsRunner {
   std::vector<VertexId> iqueue_;  ///< tree_insert_source_arc work queue
   std::uint32_t epoch_ = 0;
   ArcIndex arcs_scanned_ = 0;
-  ArcIndex repair_arcs_ = 0;
 
   // Terminal-tree session state (valid while tree_epoch_ == epoch_).
   const Graph* tree_g_ = nullptr;
@@ -308,27 +216,6 @@ class BfsRunner {
   std::size_t tree_head_ = 0;            ///< next queue position to pop
   std::vector<std::uint32_t> tmark_;     ///< epoch-stamped: pending target
   std::vector<std::uint32_t> amark_;     ///< epoch-stamped: answered target
-  std::vector<std::uint32_t> pidx_;      ///< discovery row index (clean tree)
-
-  // Masked-tree repair state (valid while repair_ready_ for this session).
-  // rdist_/rpar_/redge_/rpidx_ mirror the clean tree at repair_init and are
-  // mutated (with logging) by distance repairs and lazy chain resolution;
-  // fstamp_ memoizes resolution per repair state (fserial_ bumps on every
-  // repair and rollback) while mstamp_ marks re-picked links per decision
-  // (mserial_ bumps on rollback), so stale marks die without a sweep.
-  bool repair_ready_ = false;
-  bool repair_dirty_ = false;
-  std::uint64_t repair_count_ = 0;
-  FaultView repair_cut_;  ///< the accumulated cut, for lazy resolution
-  std::vector<std::uint32_t> rdist_, rpar_, redge_, rpidx_;
-  std::vector<std::uint32_t> rqueued_;  ///< in-queue dedup stamps
-  std::uint32_t rqueue_stamp_ = 0;
-  std::vector<std::uint32_t> fstamp_;  ///< chain resolved at this fserial_
-  std::uint32_t fserial_ = 0;
-  std::vector<std::uint32_t> mstamp_;  ///< link re-picked at this mserial_
-  std::uint32_t mserial_ = 0;          ///< bumps per decision (rollback)
-  std::vector<RepairLogEntry> rlog_;
-  std::vector<std::vector<VertexId>> rbuckets_;   ///< per-level work queues
 };
 
 /// Dijkstra: weighted distances (also correct on unweighted graphs).

@@ -15,7 +15,7 @@
 //
 //  * Counters / gauges — named monotonic counters and high-water gauges.
 //    Handles are registered once (usually at static init:
-//    `static const obs::Counter c("tree.repair.count");`) and resolve to a
+//    `static const obs::Counter c("tree.sessions");`) and resolve to a
 //    fixed slot index.  Increments land in per-thread shards (plain relaxed
 //    atomics the owning thread writes), merged across threads at snapshot
 //    time, so concurrent workers never contend on a shared cache line.

@@ -21,7 +21,7 @@ SpannerBuild alpha_beta_spanner(const Graph& g, const SpannerParams& params,
   if (!g.weighted()) {
     // Unit weights collapse every per-edge budget to the same hop count
     // floor(alpha * 1 + beta), which is Algorithm 2 under a different t:
-    // delegate to the modified greedy (batching, masked-tree repair) via the
+    // delegate to the modified greedy (terminal batching included) via the
     // hop override.
     ModifiedGreedyConfig engine = config.engine;
     engine.hop_budget =

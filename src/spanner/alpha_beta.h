@@ -17,8 +17,8 @@
 //
 // Determinism contract: unweighted inputs delegate to the modified greedy
 // with hop budget floor(alpha + beta) (ModifiedGreedyConfig::hop_budget),
-// inheriting terminal batching and masked-tree repair — picks are
-// bit-identical at any A/B knob setting.  Weighted inputs run a sequential
+// inheriting terminal batching — picks are bit-identical at any A/B knob
+// setting.  Weighted inputs run a sequential
 // scan whose oracle is LbcSolver::decide_weighted (budget-pruned Dijkstra
 // sweeps).  With alpha + beta = 2k - 1 on an unweighted
 // graph the picks coincide edge-for-edge with modified_greedy_spanner at

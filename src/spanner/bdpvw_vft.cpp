@@ -40,7 +40,6 @@ SpannerBuild bdpvw_vft_spanner(const Graph& g, const SpannerParams& params,
   build.spanner = Graph(g.n(), g.weighted());
   FaultSetSearch search(params.model);
   LbcSolver lbc(params.model);
-  lbc.set_masked_tree(config.masked_tree);
 
   const std::uint32_t t = params.stretch();
   // A hop-bounded cut certifies nothing about the weighted threshold
@@ -129,8 +128,6 @@ SpannerBuild bdpvw_vft_spanner(const Graph& g, const SpannerParams& params,
   build.stats.search_sweeps = lbc.total_sweeps();
   build.stats.batched_sweeps = lbc.batched_sweeps();
   build.stats.tree_reuse_hits = lbc.tree_reuse_hits();
-  build.stats.masked_reuse_hits = lbc.masked_reuse_hits();
-  build.stats.masked_tree_repairs = lbc.masked_tree_repairs();
   build.stats.tree_extends = lbc.tree_extends();
   build.stats.arcs_traversed = lbc.arcs_scanned();
   build.stats.arena_bytes = lbc.arena_bytes();

@@ -52,9 +52,6 @@ struct BdpvwConfig {
   /// Serve prefilter sweep 0s from shared terminal trees
   /// (LbcSolver::begin_batch); bit-identical A/B switch.
   bool batch_terminals = true;
-  /// Serve prefilter masked sweeps from the repaired shared tree
-  /// (LbcSolver::set_masked_tree); bit-identical A/B switch.
-  bool masked_tree = true;
   /// Record the witnessing fault set of every accepted edge into
   /// SpannerBuild::certificates.  Filter-accepted edges store the LBC cut,
   /// search-accepted edges the branch-and-bound witness — both are valid

@@ -38,7 +38,7 @@ struct SpannerAlgoOptions {
   double alpha = 0.0;
   double beta = 0.0;
   /// Oracle-engine knobs: scan order, certificate recording, terminal
-  /// batching, masked-tree repair.  Honored by the oracle-shaped
+  /// batching, hop budget.  Honored by the oracle-shaped
   /// constructions (modified, alpha_beta, bdpvw); exact reads only
   /// record_certificates.
   ModifiedGreedyConfig engine;

@@ -1,5 +1,6 @@
 #include "util/cli.h"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -74,6 +75,21 @@ std::uint64_t Cli::get_uint(const std::string& name,
     throw std::invalid_argument("--" + name + " must be non-negative, got " +
                                 it->second);
   return static_cast<std::uint64_t>(value);
+}
+
+void Cli::require_known(
+    std::initializer_list<std::string_view> accepted) const {
+  for (const auto& [name, value] : values_) {
+    if (std::find(accepted.begin(), accepted.end(), name) != accepted.end())
+      continue;
+    std::string list;
+    for (const std::string_view flag : accepted) {
+      list += list.empty() ? "--" : ", --";
+      list += flag;
+    }
+    throw std::invalid_argument("unknown flag --" + name + " (accepted: " +
+                                list + ")");
+  }
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {

@@ -7,8 +7,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace ftspan {
 
@@ -45,6 +47,12 @@ class Cli {
   /// ("--p 0.1abc") and on nan/inf, which would otherwise flow silently into
   /// probabilities and radii.
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
+
+  /// Throws std::invalid_argument naming the first flag that is not in
+  /// `accepted` (names without the leading "--").  Call it before doing any
+  /// work, so a misspelt or retired flag fails loudly instead of being
+  /// silently ignored.
+  void require_known(std::initializer_list<std::string_view> accepted) const;
 
   /// Program name (argv[0]).
   [[nodiscard]] const std::string& program() const noexcept { return program_; }

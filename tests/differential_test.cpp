@@ -1,10 +1,10 @@
-// Cross-variant differential fuzz harness: every variant of the modified
-// greedy — terminal-batched on/off, masked-tree repair on/off — must produce
-// bit-identical picks, certificates, oracle-call and sweep counts on seeded
-// random inputs across both fault models.  A second tier pins the
-// masked-tree LBC oracle itself (decide_batched with repair) against the
-// dedicated per-pair oracle down to cuts and sweep counts, and a third pins
-// the verifier's reports across thread counts.  Every assertion names the
+// Cross-variant differential fuzz harness: the modified greedy with
+// terminal batching on and off must produce bit-identical picks,
+// certificates, oracle-call and sweep counts on seeded random inputs across
+// both fault models.  A second tier pins the batched LBC oracle itself
+// (decide_batched) against the dedicated per-pair oracle down to cuts and
+// sweep counts, and a third pins the verifier's reports across thread
+// counts.  Every assertion names the
 // failing seed so a red run is reproducible from the log alone.
 
 #include <gtest/gtest.h>
@@ -28,19 +28,7 @@ namespace {
 
 // ----------------------------------------------------- engine-level harness
 
-struct EngineVariant {
-  const char* name;
-  bool batch;
-  bool masked;
-};
-
-constexpr EngineVariant kVariants[] = {
-    {"batched", true, false},
-    {"masked-tree", true, true},
-    {"masked-no-batch", false, true},  // masked repair is inert alone
-};
-
-/// Runs every variant against the unbatched-unmasked reference and asserts
+/// Runs the batched engine against the unbatched reference and asserts
 /// bit-identity of everything a downstream consumer can see.
 void expect_engines_agree(const Graph& g, const SpannerParams& params,
                           EdgeOrder order, std::uint64_t seed) {
@@ -55,32 +43,20 @@ void expect_engines_agree(const Graph& g, const SpannerParams& params,
   ref_config.order = order;
   ref_config.record_certificates = true;
   ref_config.batch_terminals = false;
-  ref_config.masked_tree = false;
   const auto ref = modified_greedy_spanner(g, params, ref_config);
 
-  for (const auto& variant : kVariants) {
-    ModifiedGreedyConfig config;
-    config.order = order;
-    config.record_certificates = true;
-    config.batch_terminals = variant.batch;
-    config.masked_tree = variant.masked;
-    const auto build = modified_greedy_spanner(g, params, config);
+  ModifiedGreedyConfig config;
+  config.order = order;
+  config.record_certificates = true;
+  const auto build = modified_greedy_spanner(g, params, config);
 
-    ASSERT_EQ(build.picked, ref.picked) << ctx << " variant=" << variant.name;
-    EXPECT_EQ(build.stats.oracle_calls, ref.stats.oracle_calls)
-        << ctx << " variant=" << variant.name;
-    EXPECT_EQ(build.stats.search_sweeps, ref.stats.search_sweeps)
-        << ctx << " variant=" << variant.name;
-    ASSERT_EQ(build.certificates.size(), ref.certificates.size())
-        << ctx << " variant=" << variant.name;
-    for (std::size_t i = 0; i < ref.certificates.size(); ++i)
-      ASSERT_EQ(build.certificates[i].ids, ref.certificates[i].ids)
-          << ctx << " variant=" << variant.name << " certificate=" << i;
-    if (!variant.batch) {
-      EXPECT_EQ(build.stats.masked_reuse_hits, 0u)
-          << ctx << " variant=" << variant.name;
-    }
-  }
+  ASSERT_EQ(build.picked, ref.picked) << ctx;
+  EXPECT_EQ(build.stats.oracle_calls, ref.stats.oracle_calls) << ctx;
+  EXPECT_EQ(build.stats.search_sweeps, ref.stats.search_sweeps) << ctx;
+  ASSERT_EQ(build.certificates.size(), ref.certificates.size()) << ctx;
+  for (std::size_t i = 0; i < ref.certificates.size(); ++i)
+    ASSERT_EQ(build.certificates[i].ids, ref.certificates[i].ids)
+        << ctx << " certificate=" << i;
 }
 
 TEST(Differential, EnginesAgreeOnRandomGraphs) {
@@ -123,24 +99,23 @@ TEST(Differential, EnginesAgreeOnSparseDisconnectedGraphs) {
 
 // ----------------------------------------------------- oracle-level harness
 
-/// Pins masked-tree decide_batched against the dedicated per-pair oracle:
+/// Pins batched decide_batched against the dedicated per-pair oracle:
 /// decisions, certificates, and sweep counts must be bit-identical.
-void expect_masked_oracle_matches(const Graph& g, FaultModel model,
-                                  std::uint32_t t, std::uint32_t alpha,
-                                  VertexId u,
-                                  const std::vector<VertexId>& targets,
-                                  std::uint64_t seed,
-                                  bool expect_masked_hits = false) {
+void expect_batched_oracle_matches(const Graph& g, FaultModel model,
+                                   std::uint32_t t, std::uint32_t alpha,
+                                   VertexId u,
+                                   const std::vector<VertexId>& targets,
+                                   std::uint64_t seed,
+                                   bool expect_masked_sweeps = false) {
   const std::string ctx = "seed=" + std::to_string(seed) + " u=" +
                           std::to_string(u) + " t=" + std::to_string(t) +
                           " alpha=" + std::to_string(alpha) + " model=" +
                           to_string(model);
 
-  LbcSolver masked(model);
-  masked.set_masked_tree(true);
+  LbcSolver batched(model);
   LbcSolver reference(model);
   std::vector<LbcResult> results(targets.size());
-  masked.decide_batch(g, u, targets, t, alpha, results);
+  batched.decide_batch(g, u, targets, t, alpha, results);
 
   for (std::size_t j = 0; j < targets.size(); ++j) {
     const LbcResult ref = reference.decide(g, u, targets[j], t, alpha);
@@ -148,18 +123,13 @@ void expect_masked_oracle_matches(const Graph& g, FaultModel model,
     ASSERT_EQ(results[j].sweeps, ref.sweeps) << ctx << " target=" << targets[j];
     ASSERT_EQ(results[j].cut.ids, ref.cut.ids) << ctx << " target=" << targets[j];
   }
-  EXPECT_EQ(masked.total_sweeps(), reference.total_sweeps()) << ctx;
-  // Every sweep past the first of a multi-sweep decision was served from
-  // the repaired tree, never a dedicated masked BFS.
-  EXPECT_EQ(masked.masked_reuse_hits(),
-            masked.total_sweeps() - masked.batched_sweeps())
-      << ctx;
-  if (expect_masked_hits) {  // guard against the harness passing vacuously
-    EXPECT_GT(masked.masked_reuse_hits(), 0u) << ctx;
+  EXPECT_EQ(batched.total_sweeps(), reference.total_sweeps()) << ctx;
+  if (expect_masked_sweeps) {  // guard against the harness passing vacuously
+    EXPECT_GT(batched.total_sweeps(), batched.batched_sweeps()) << ctx;
   }
 }
 
-TEST(Differential, MaskedTreeOracleMatchesDedicatedBfs) {
+TEST(Differential, BatchedOracleMatchesDedicatedBfs) {
   for (std::uint64_t seed = 41; seed <= 52; ++seed) {
     Rng rng(0x0bacULL * seed + 17);
     const auto n = 16 + 8 * static_cast<std::size_t>(rng.next_below(6));
@@ -173,7 +143,7 @@ TEST(Differential, MaskedTreeOracleMatchesDedicatedBfs) {
     const auto t = static_cast<std::uint32_t>(1 + rng.next_below(5));
     const auto alpha = static_cast<std::uint32_t>(rng.next_below(5));
     for (const FaultModel model : {FaultModel::vertex, FaultModel::edge})
-      expect_masked_oracle_matches(g, model, t, alpha, u, targets, seed);
+      expect_batched_oracle_matches(g, model, t, alpha, u, targets, seed);
   }
 }
 
@@ -273,9 +243,9 @@ TEST(Differential, ScenarioStormsBitIdenticalAcrossThreads) {
   }
 }
 
-TEST(Differential, MaskedTreeOracleMatchesOnDenseGraphs) {
-  // Dense rows mean deep subtrees hang off few root children, so one cut
-  // vertex orphans a large region — the stress case for re-attachment.
+TEST(Differential, BatchedOracleMatchesOnDenseGraphs) {
+  // Dense rows give most decisions several masked sweeps, so the cut
+  // accumulation past the shared sweep 0 gets real coverage.
   for (std::uint64_t seed = 61; seed <= 64; ++seed) {
     Rng rng(0xd05eULL * seed + 3);
     const Graph g = gnp(28, 0.45, rng);
@@ -284,8 +254,8 @@ TEST(Differential, MaskedTreeOracleMatchesOnDenseGraphs) {
     for (VertexId v = 0; v < g.n(); ++v)
       if (v != u) targets.push_back(v);
     for (const FaultModel model : {FaultModel::vertex, FaultModel::edge})
-      expect_masked_oracle_matches(g, model, 3, 4, u, targets, seed,
-                                   /*expect_masked_hits=*/true);
+      expect_batched_oracle_matches(g, model, 3, 4, u, targets, seed,
+                                    /*expect_masked_sweeps=*/true);
   }
 }
 

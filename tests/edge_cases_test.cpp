@@ -1,6 +1,6 @@
 // Degenerate-input sweep: f = 0, k = 1, disconnected graphs, and
 // single-vertex / empty graphs through the modified greedy (every engine
-// variant), the verifier, and the batched / masked-tree LBC paths.  Several
+// variant), the verifier, and the batched LBC path.  Several
 // of these previously passed only by accident — this file makes the
 // contracts explicit.
 
@@ -25,23 +25,15 @@ void expect_build_ok(const Graph& g, const SpannerParams& params) {
   ModifiedGreedyConfig ref_config;
   ref_config.order = EdgeOrder::input;
   ref_config.batch_terminals = false;
-  ref_config.masked_tree = false;
   const auto ref = modified_greedy_spanner(g, params, ref_config);
 
-  for (const bool batch : {false, true}) {
-    for (const bool masked : {false, true}) {
-      ModifiedGreedyConfig config;
-      config.order = EdgeOrder::input;
-      config.batch_terminals = batch;
-      config.masked_tree = masked;
-      const auto build = modified_greedy_spanner(g, params, config);
-      EXPECT_EQ(build.picked, ref.picked)
-          << g.summary() << " k=" << params.k << " f=" << params.f
-          << " batch=" << batch << " masked=" << masked;
-      EXPECT_EQ(build.stats.search_sweeps, ref.stats.search_sweeps)
-          << g.summary() << " batch=" << batch << " masked=" << masked;
-    }
-  }
+  ModifiedGreedyConfig config;
+  config.order = EdgeOrder::input;
+  const auto build = modified_greedy_spanner(g, params, config);
+  EXPECT_EQ(build.picked, ref.picked)
+      << g.summary() << " k=" << params.k << " f=" << params.f;
+  EXPECT_EQ(build.stats.search_sweeps, ref.stats.search_sweeps)
+      << g.summary();
 
   const auto report = verify_exhaustive(g, ref.spanner, params);
   EXPECT_TRUE(report.ok) << g.summary() << " k=" << params.k
@@ -114,7 +106,7 @@ TEST(EdgeCases, TwoVertexGraph) {
 }
 
 TEST(EdgeCases, BatchedLbcOnDegenerateInputs) {
-  // Batched + masked-tree decisions on a disconnected graph: unreachable
+  // Batched decisions on a disconnected graph: unreachable
   // targets, one-hop targets (empty cut growth), and f = 0 single sweeps.
   Graph g(7);
   g.add_edge(0, 1);
@@ -124,11 +116,10 @@ TEST(EdgeCases, BatchedLbcOnDegenerateInputs) {
   const std::vector<VertexId> targets = {1, 2, 3, 4, 5, 6};
   for (const FaultModel model : {FaultModel::vertex, FaultModel::edge}) {
     for (const std::uint32_t alpha : {0u, 1u, 3u}) {
-      LbcSolver masked(model);
-      masked.set_masked_tree(true);
+      LbcSolver batched(model);
       LbcSolver reference(model);
       std::vector<LbcResult> results(targets.size());
-      masked.decide_batch(g, 0, targets, 3, alpha, results);
+      batched.decide_batch(g, 0, targets, 3, alpha, results);
       for (std::size_t j = 0; j < targets.size(); ++j) {
         const LbcResult ref = reference.decide(g, 0, targets[j], 3, alpha);
         EXPECT_EQ(results[j].yes, ref.yes)

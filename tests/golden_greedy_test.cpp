@@ -28,9 +28,9 @@ static const std::vector<EdgeId> kGoldenVertexK3F1 = {0, 1, 2, 3, 4, 5, 6, 7, 8,
 static const std::vector<EdgeId> kGoldenEdgeWeightedK2F1 = {136, 144, 29, 152, 150, 111, 142, 3, 198, 172, 140, 80, 159, 161, 43, 160, 15, 120, 61, 33, 67, 18, 185, 146, 97, 91, 169, 141, 95, 195, 81, 202, 13, 25, 178, 186, 1, 149, 101, 31, 190, 207, 200, 20, 84, 92, 36, 197, 187, 34, 23, 126, 62, 134, 69, 133, 75, 98, 164, 107, 70, 180, 117, 171, 131, 177, 121, 26, 38, 5, 49, 90, 6, 138, 189, 183, 56, 60, 193, 212, 59, 2};
 
 // Checks the recorded picks for the default build and then with terminal-
-// batched LBC and masked-tree repair each enabled and disabled: the shared
-// terminal trees and their repairs must reproduce the unbatched scan
-// bit-exactly, down to the per-decision sweep counts.
+// batched LBC enabled and disabled: the shared terminal trees must
+// reproduce the unbatched scan bit-exactly, down to the per-decision sweep
+// counts.
 void expect_golden(const Graph& g, const SpannerParams& params,
                    const std::vector<EdgeId>& golden) {
   const auto reference = modified_greedy_spanner(g, params);
@@ -38,21 +38,17 @@ void expect_golden(const Graph& g, const SpannerParams& params,
   EXPECT_EQ(reference.spanner.m(), golden.size());
 
   for (const bool batch : {true, false}) {
-    for (const bool masked : {true, false}) {
-      ModifiedGreedyConfig config;
-      config.batch_terminals = batch;
-      config.masked_tree = masked;
-      const auto build = modified_greedy_spanner(g, params, config);
-      EXPECT_EQ(build.picked, golden)
-          << "batch=" << batch << " masked=" << masked;
-      EXPECT_EQ(build.stats.oracle_calls, reference.stats.oracle_calls)
-          << "batch=" << batch << " masked=" << masked;
-      EXPECT_EQ(build.stats.search_sweeps, reference.stats.search_sweeps)
-          << "batch=" << batch << " masked=" << masked;
-      if (!batch) {
-        EXPECT_EQ(build.stats.batched_sweeps, 0u);
-        EXPECT_EQ(build.stats.tree_reuse_hits, 0u);
-      }
+    ModifiedGreedyConfig config;
+    config.batch_terminals = batch;
+    const auto build = modified_greedy_spanner(g, params, config);
+    EXPECT_EQ(build.picked, golden) << "batch=" << batch;
+    EXPECT_EQ(build.stats.oracle_calls, reference.stats.oracle_calls)
+        << "batch=" << batch;
+    EXPECT_EQ(build.stats.search_sweeps, reference.stats.search_sweeps)
+        << "batch=" << batch;
+    if (!batch) {
+      EXPECT_EQ(build.stats.batched_sweeps, 0u);
+      EXPECT_EQ(build.stats.tree_reuse_hits, 0u);
     }
   }
 }

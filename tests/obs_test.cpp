@@ -345,8 +345,8 @@ TEST(ObsRing, ConcurrentRecordingFromPoolWorkers) {
 // ------------------------------------------------------ engine coverage
 
 TEST(ObsTrace, EngineRunCoversAllCategories) {
-  // The acceptance bar for the instrumentation: one traced masked-repair
-  // build, an alpha-0 build, and a verifier storm fanned over 4 pool workers
+  // The acceptance bar for the instrumentation: one traced f = 1 build
+  // with masked sweeps, an alpha-0 build, and a verifier storm fanned over 4 pool workers
   // must produce every category the trace taxonomy promises, on per-worker
   // tracks.  The thread count is not clamped to the hardware, so this holds
   // on a 1-core CI runner too.
@@ -357,9 +357,9 @@ TEST(ObsTrace, EngineRunCoversAllCategories) {
   const Graph g = gnp(256, 0.12, rng);
   const auto build =
       modified_greedy_spanner(g, SpannerParams{.k = 2, .f = 1});
-  // Guard against vacuous category asserts: the workload must actually
-  // exercise masked repair.
-  ASSERT_GT(build.stats.masked_tree_repairs, 0u);
+  // Guard against vacuous category asserts: the workload must actually run
+  // masked sweeps past the tree-served sweep 0.
+  ASSERT_GT(build.stats.search_sweeps, build.stats.batched_sweeps);
 
   // alpha == 0: accepts graft into the shared tree instead of re-beginning.
   const auto graft_build = modified_greedy_spanner(
@@ -372,7 +372,7 @@ TEST(ObsTrace, EngineRunCoversAllCategories) {
 
   const std::string json = export_trace();
   ASSERT_TRUE(JsonValidator(json).valid());
-  for (const char* cat : {"tree", "repair", "graft", "sweep", "pool", "verify"})
+  for (const char* cat : {"tree", "graft", "sweep", "pool", "verify"})
     EXPECT_NE(json.find("\"cat\":\"" + std::string(cat) + "\""),
               std::string::npos)
         << "category missing from trace: " << cat;

@@ -106,7 +106,7 @@ TEST(SlabArena, HighWaterMarkNeverShrinks) {
 
 TEST(SlabArena, ReserveMakesSessionsAllocationStable) {
   // After reserve(n), repeated terminal-tree sessions must not move the
-  // footprint: every per-vertex array (search, session, repair) is at its
+  // footprint: every per-vertex array (search, session) is at its
   // high-water mark already.
   Rng rng(13);
   const Graph g = gnp(3000, 0.005, rng);

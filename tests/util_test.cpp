@@ -254,6 +254,25 @@ TEST(Cli, GetIntRejectsTrailingCharacters) {
   EXPECT_EQ(cli.get_int("k", 0), -2);  // negative integers stay valid here
 }
 
+TEST(Cli, RequireKnownRejectsUnlistedFlags) {
+  // A retired flag ("--threads 4" on a sequential build) must fail loudly,
+  // naming itself, instead of being parsed and then silently ignored.
+  const char* argv[] = {"prog", "--in", "g.txt", "--threads", "4",
+                        "--verbose"};
+  Cli cli(6, argv);
+  EXPECT_NO_THROW(cli.require_known({"in", "threads", "verbose"}));
+  expect_rejected("threads", [&] {
+    cli.require_known({"in", "verbose"});
+    return 0;
+  });
+  expect_rejected("verbose", [&] {
+    cli.require_known({"in", "threads"});
+    return 0;
+  });
+  const char* none[] = {"prog"};
+  EXPECT_NO_THROW(Cli(1, none).require_known({}));
+}
+
 // ----------------------------------------------------------------- check
 
 TEST(Check, RequireThrowsInvalidArgument) {

@@ -65,23 +65,19 @@ TEST(BdpvwVft, GoldenVertexK2F2AcrossKnobs) {
   const SpannerParams params{.k = 2, .f = 2, .model = FaultModel::vertex};
   for (const bool filter : {true, false}) {
     for (const bool batch : {true, false}) {
-      for (const bool masked : {true, false}) {
-        BdpvwConfig config;
-        config.lbc_filter = filter;
-        config.batch_terminals = batch;
-        config.masked_tree = masked;
-        const auto build = bdpvw_vft_spanner(g, params, config);
-        EXPECT_EQ(build.picked, kBdpvwVertexK2F2)
-            << "filter=" << filter << " batch=" << batch
-            << " masked=" << masked;
-        if (!filter) {
-          // Unfiltered = pure exact scan: every decision is a search.
-          EXPECT_EQ(build.stats.exact_searches, build.stats.oracle_calls);
-        } else {
-          // The LBC prefilter must settle most decisions without a search.
-          EXPECT_LT(build.stats.exact_searches, build.stats.oracle_calls / 2)
-              << "batch=" << batch << " masked=" << masked;
-        }
+      BdpvwConfig config;
+      config.lbc_filter = filter;
+      config.batch_terminals = batch;
+      const auto build = bdpvw_vft_spanner(g, params, config);
+      EXPECT_EQ(build.picked, kBdpvwVertexK2F2)
+          << "filter=" << filter << " batch=" << batch;
+      if (!filter) {
+        // Unfiltered = pure exact scan: every decision is a search.
+        EXPECT_EQ(build.stats.exact_searches, build.stats.oracle_calls);
+      } else {
+        // The LBC prefilter must settle most decisions without a search.
+        EXPECT_LT(build.stats.exact_searches, build.stats.oracle_calls / 2)
+            << "batch=" << batch;
       }
     }
   }

@@ -5,7 +5,7 @@ Default (E4) mode validates a BENCH_e4_runtime.json:
 
 1. the engine knobs are bit-identical: `sweeps` and `spanner_m` agree for
    every (algo, n, f, k) between the main file and every supplied A/B file
-   (--batch/--masked off) — the knobs may never change decisions;
+   (--batch 0) — the knobs may never change decisions;
 2. no config regressed by more than the budget vs the checked-in per-config
    floor (bench/ci_perf_floor.json): seconds <= floor_seconds * (1 + slack).
 
@@ -55,7 +55,10 @@ Usage:
 
 The floor file is an object {"e4": [...], "e13": [...], "e16": [...],
 "e17": [...], "e18": [...]}; a
-bare list is accepted as e4-only for compatibility.  Exits non-zero with a per-failure
+bare list is accepted as e4-only for compatibility.  In every mode, a
+bench file, A/B file, or floor section that holds two rows for one config
+key is an error (exit 1, naming the file and the key) — a dict keyed on
+the config would silently keep the last row and gate only that one.  Exits non-zero with a per-failure
 report; prints the measured rows so the CI log shows the perf trajectory
 at a glance.  Both modes also print a per-config delta table (config,
 measured, floor, budget, headroom %) and mirror it as markdown into
@@ -118,15 +121,29 @@ def load_floors(path, section):
     return floors.get(section, [])
 
 
+def index_rows(rows, key, path):
+    """Indexes `rows` by `key`, in file order.  Exits with status 1, naming
+    `path` and the key, when two rows share a key: a plain {key(r): r} would
+    keep only the last of them and silently gate half the data."""
+    indexed = {}
+    for row in rows:
+        k = key(row)
+        if k in indexed:
+            sys.exit("error: %s holds more than one row for config %s"
+                     % (path, k))
+        indexed[k] = row
+    return indexed
+
+
 def check_e16(rows, floors, slack):
     """Gate an E16 sweep: wall-clock with slack, RSS as a hard ceiling,
-    spanner_m pinned exactly when the floor entry records it."""
+    spanner_m pinned exactly when the floor entry records it.  `rows` and
+    `floors` are index_rows() dicts keyed on e16_key."""
     failures = []
     deltas = []
-    indexed = {e16_key(r): r for r in rows}
+    indexed = dict(rows)
     checked = 0
-    for floor in floors:
-        key = e16_key(floor)
+    for key, floor in floors.items():
         row = indexed.pop(key, None)
         if row is None:
             print("  (floor config %s not in this run — nightly-only)"
@@ -173,7 +190,7 @@ def check_e16(rows, floors, slack):
         failures.append("E16 row %s has no floor entry — add one to "
                         "ci_perf_floor.json before landing a new config"
                         % (key,))
-    for r in sorted(rows, key=e16_key):
+    for r in sorted(rows.values(), key=e16_key):
         print("  %-10s scale=%-2d f=%d k=%d  %8.2fs  gen %6.2fs  "
               "rss %6.0f MB  m(H)=%d  grafts=%d"
               % (r["family"], r["scale"], r["f"], r["k"],
@@ -193,11 +210,9 @@ def check_e17(rows, floors, tolerance=1e-6):
     = disconnected, pinned as null), disconnected_trials and spanner_m pinned
     exactly.  No wall-clock gates — this lane pins results."""
     failures = []
-    indexed = {e17_key(r): r for r in rows}
+    indexed = dict(rows)
     checked = 0
-    for floor in floors:
-        key = (floor["algo"], floor["model"], floor["scenario"], floor["n"],
-               floor["f"], floor["k"])
+    for key, floor in floors.items():
         row = indexed.pop(key, None)
         if row is None:
             print("  (floor config %s not in this run — nightly-only)"
@@ -234,7 +249,7 @@ def check_e17(rows, floors, tolerance=1e-6):
         failures.append("E17 row %s has no floor entry — add one to "
                         "ci_perf_floor.json before landing a new config"
                         % (key,))
-    for r in sorted(rows, key=e17_key):
+    for r in sorted(rows.values(), key=e17_key):
         print("  %-12s %-6s %-8s n=%-4d f=%d k=%d  p50=%-6s max=%-6s "
               "disc=%-2d ok=%s"
               % (r["algo"], r["model"], r["scenario"], r["n"], r["f"], r["k"],
@@ -258,11 +273,9 @@ def check_e13(rows, floors, tolerance=1e-6):
     the load-bearing pin — it proves every registered construction is still
     deterministic through the dispatch table."""
     failures = []
-    indexed = {e13_key(r): r for r in rows}
+    indexed = dict(rows)
     checked = 0
-    for floor in floors:
-        key = (floor["algo"], floor["model"], floor["scenario"],
-               floor["graph"], floor["n"], floor["f"], floor["k"])
+    for key, floor in floors.items():
         row = indexed.pop(key, None)
         if row is None:
             print("  (floor config %s not in this run — nightly-only)"
@@ -299,7 +312,7 @@ def check_e13(rows, floors, tolerance=1e-6):
         failures.append("E13 row %s has no floor entry — add one to "
                         "ci_perf_floor.json before landing a new config"
                         % (key,))
-    for r in sorted(rows, key=e13_key):
+    for r in sorted(rows.values(), key=e13_key):
         print("  %-12s %-6s %-8s %-5s n=%-4d f=%d k=%d  m(H)=%-4d "
               "p50=%-6s max=%-6s disc=%-2d ok=%s"
               % (r["algo"], r["model"], r["scenario"], r["graph"], r["n"],
@@ -323,11 +336,9 @@ def check_e18(rows, floors):
     speedup is a ratio of two times measured on the same machine."""
     failures = []
     deltas = []
-    indexed = {e18_key(r): r for r in rows}
+    indexed = dict(rows)
     checked = 0
-    for floor in floors:
-        key = (floor["family"], floor["n"], floor["f"], floor["k"],
-               floor["model"])
+    for key, floor in floors.items():
         row = indexed.pop(key, None)
         if row is None:
             print("  (floor config %s not in this run — nightly-only)"
@@ -368,7 +379,7 @@ def check_e18(rows, floors):
         failures.append("E18 row %s has no floor entry — add one to "
                         "ci_perf_floor.json before landing a new config"
                         % (key,))
-    for r in sorted(rows, key=e18_key):
+    for r in sorted(rows.values(), key=e18_key):
         print("  %-6s n=%-6d f=%d k=%d %-6s  upd/s=%-8.0f qry/s=%-8.0f "
               "p50=%.1fus p99=%.1fus  speedup=%.0fx  checkpoints=%s"
               % (r["family"], r["n"], r["f"], r["k"], r["model"],
@@ -376,6 +387,45 @@ def check_e18(rows, floors):
                  r["p99_query_us"], r["speedup_vs_rebuild"],
                  "ok" if r["checkpoints_ok"] else "FAILED"))
     emit_delta_table("E18 churn floor deltas", deltas)
+    return failures
+
+
+def check_e4(rows, floors, ab_paths, slack):
+    """Gate an E4 run: sweeps/spanner_m bit-identical across every A/B knob
+    file, and seconds within the per-config floor plus slack."""
+    failures = []
+    # 1. Bit-identity across the A/B knob files.
+    for path in ab_paths:
+        for key, r in index_rows(load(path), config_key, path).items():
+            if key not in rows:
+                failures.append("%s: config %s absent from the main run"
+                                % (path, key))
+            elif ((rows[key]["sweeps"], rows[key]["spanner_m"])
+                  != (r["sweeps"], r["spanner_m"])):
+                failures.append(
+                    "%s: config %s gives sweeps/spanner_m %s but the main "
+                    "run gave %s — an A/B knob changed decisions"
+                    % (path, key, (r["sweeps"], r["spanner_m"]),
+                       (rows[key]["sweeps"], rows[key]["spanner_m"])))
+
+    # 2. Regression gate against the checked-in floor.
+    deltas = []
+    for key, floor in floors.items():
+        row = rows.get(key)
+        if row is None:
+            failures.append("floor config %s missing from the main run"
+                            % (key,))
+            continue
+        budget = floor["seconds"] * (1.0 + slack)
+        deltas.append(("%s n=%d f=%d k=%d" % key, "seconds",
+                       row["seconds"], floor["seconds"], budget))
+        if row["seconds"] > budget:
+            failures.append(
+                "%s: %.4fs exceeds the floor %.4fs + %d%% slack (= %.4fs)"
+                % (key, row["seconds"], floor["seconds"],
+                   round(slack * 100), budget))
+    print("%d A/B files" % len(ab_paths))
+    emit_delta_table("E4 runtime floor deltas", deltas)
     return failures
 
 
@@ -398,109 +448,36 @@ def main():
                         help="allowed regression over the floor (default 25%%)")
     args = parser.parse_args()
 
-    rows = load(args.main)
-    failures = []
-
-    if args.e13:
-        floors = load_floors(args.floor, "e13")
-        print("e13 zoo lane: %d rows, %d floor configs"
-              % (len(rows), len(floors)))
-        failures = check_e13(rows, floors)
-        if failures:
-            print("\nFAILURES:", file=sys.stderr)
-            for failure in failures:
-                print("  - " + failure, file=sys.stderr)
-            return 1
-        print("all checks passed: every registered construction reproduced "
-              "its pinned size and stretch profile through the dispatch")
-        return 0
-
-    if args.e18:
-        floors = load_floors(args.floor, "e18")
-        print("e18 churn lane: %d rows, %d floor configs"
-              % (len(rows), len(floors)))
-        failures = check_e18(rows, floors)
-        if failures:
-            print("\nFAILURES:", file=sys.stderr)
-            for failure in failures:
-                print("  - " + failure, file=sys.stderr)
-            return 1
-        print("all checks passed: every checkpoint verified, incremental "
-              "maintenance beats rebuild-per-update by the required margin")
-        return 0
-
-    if args.e17:
-        floors = load_floors(args.floor, "e17")
-        print("e17 attack lane: %d rows, %d floor configs"
-              % (len(rows), len(floors)))
-        failures = check_e17(rows, floors)
-        if failures:
-            print("\nFAILURES:", file=sys.stderr)
-            for failure in failures:
-                print("  - " + failure, file=sys.stderr)
-            return 1
-        print("all checks passed: every seeded storm reproduced its pinned "
-              "stretch profile")
-        return 0
-
-    if args.e16:
-        floors = load_floors(args.floor, "e16")
-        print("e16 scale lane: %d rows, %d floor configs"
-              % (len(rows), len(floors)))
-        failures = check_e16(rows, floors, args.slack)
-        if failures:
-            print("\nFAILURES:", file=sys.stderr)
-            for failure in failures:
-                print("  - " + failure, file=sys.stderr)
-            return 1
-        print("all checks passed: within floor, under RSS ceiling, "
-              "deterministic")
-        return 0
-
-    # 1. Bit-identity across the A/B knob files.
-    reference = {config_key(r): (r["sweeps"], r["spanner_m"]) for r in rows}
-    for path in args.ab:
-        for r in load(path):
-            key = config_key(r)
-            if key not in reference:
-                failures.append("%s: config %s absent from %s"
-                                % (path, key, args.main))
-            elif reference[key] != (r["sweeps"], r["spanner_m"]):
-                failures.append(
-                    "%s: config %s gives sweeps/spanner_m %s but the main "
-                    "run gave %s — an A/B knob changed decisions"
-                    % (path, key, (r["sweeps"], r["spanner_m"]),
-                       reference[key]))
-
-    # 2. Regression gate against the checked-in floor.
-    floors = load_floors(args.floor, "e4")
-    deltas = []
-    indexed = {config_key(r): r for r in rows}
-    for floor in floors:
-        key = config_key(floor)
-        row = indexed.get(key)
-        if row is None:
-            failures.append("floor config %s missing from %s" % (key, args.main))
-            continue
-        budget = floor["seconds"] * (1.0 + args.slack)
-        deltas.append(("%s n=%d f=%d k=%d" % key, "seconds",
-                       row["seconds"], floor["seconds"], budget))
-        if row["seconds"] > budget:
-            failures.append(
-                "%s: %.4fs exceeds the floor %.4fs + %d%% slack (= %.4fs)"
-                % (key, row["seconds"], floor["seconds"],
-                   round(args.slack * 100), budget))
-
-    print("e4 runtime lane: %d rows, %d floor configs, %d A/B files"
-          % (len(rows), len(floors), len(args.ab)))
-    emit_delta_table("E4 runtime floor deltas", deltas)
-
+    # mode -> (row key, checker, success message)
+    modes = {
+        "e13": (e13_key, check_e13,
+                "every registered construction reproduced its pinned size "
+                "and stretch profile through the dispatch"),
+        "e16": (e16_key, lambda rows, floors: check_e16(rows, floors,
+                                                        args.slack),
+                "within floor, under RSS ceiling, deterministic"),
+        "e17": (e17_key, check_e17,
+                "every seeded storm reproduced its pinned stretch profile"),
+        "e18": (e18_key, check_e18,
+                "every checkpoint verified, incremental maintenance beats "
+                "rebuild-per-update by the required margin"),
+        "e4": (config_key, lambda rows, floors: check_e4(rows, floors,
+                                                         args.ab, args.slack),
+               "bit-identical across knobs, within floor"),
+    }
+    mode = next((m for m in ("e13", "e16", "e17", "e18") if getattr(args, m)),
+                "e4")
+    key, check, success = modes[mode]
+    rows = index_rows(load(args.main), key, args.main)
+    floors = index_rows(load_floors(args.floor, mode), key, args.floor)
+    print("%s lane: %d rows, %d floor configs" % (mode, len(rows), len(floors)))
+    failures = check(rows, floors)
     if failures:
         print("\nFAILURES:", file=sys.stderr)
         for failure in failures:
             print("  - " + failure, file=sys.stderr)
         return 1
-    print("all checks passed: bit-identical across knobs, within floor")
+    print("all checks passed: " + success)
     return 0
 
 

@@ -8,9 +8,8 @@
 //                     list here never goes stale; see docs/ALGORITHMS.md)
 //                     [--alpha 0 --beta 0]   (alpha_beta only: the budgeted
 //                     test alpha*w+beta; 0/0 derives alpha=2k-1, beta=0)
-//                     [--batch 1] [--masked 1]   (oracle engines; --batch 0
-//                     disables terminal-batched LBC, --masked 0 disables
-//                     masked-tree repair — results are identical either way)
+//                     [--batch 1]   (oracle engines; --batch 0 disables
+//                     terminal-batched LBC — results are identical either way)
 //                     [--trace out.trace.json] [--metrics out.metrics.json]
 //                     (record engine spans to Chrome trace JSON — load it at
 //                     https://ui.perfetto.dev — and/or dump the merged
@@ -37,7 +36,9 @@
 //                     vertex coordinates in the ftspan-points format, for
 //                     verify --scenario)
 //
-// Graphs use the ftspan edge-list format (see src/graph/io.h).
+// Every subcommand rejects flags it does not take (naming the flag, exit 1)
+// before doing any work.  Graphs use the ftspan edge-list format (see
+// src/graph/io.h).
 
 #include <unistd.h>
 
@@ -114,7 +115,7 @@ int usage() {
                    spanner_algo_names() +
                    "]"
                    " [--alpha 0] [--beta 0] [--seed 1]"
-                   " [--batch 1] [--masked 1]"
+                   " [--batch 1]"
                    " [--trace T.json] [--metrics M.json]\n"
                "  verify --in G --spanner H [--k 2] [--f 1]"
                " [--model vertex|edge] [--trials 200] [--exhaustive]"
@@ -152,6 +153,8 @@ SpannerParams params_from(const Cli& cli) {
 }
 
 int cmd_build(const Cli& cli) {
+  cli.require_known({"in", "out", "k", "f", "model", "algo", "seed", "alpha",
+                     "beta", "batch", "trace", "metrics"});
   const Graph g = load_graph(cli.get("in", ""));
   const SpannerParams params = params_from(cli);
   const std::string algo = cli.get("algo", "modified");
@@ -168,7 +171,6 @@ int cmd_build(const Cli& cli) {
   options.alpha = cli.get_double("alpha", 0.0);
   options.beta = cli.get_double("beta", 0.0);
   options.engine.batch_terminals = cli.get_int("batch", 1) != 0;
-  options.engine.masked_tree = cli.get_int("masked", 1) != 0;
 
   const ObsCliFlags obs_flags = ObsCliFlags::from(cli);
   obs_flags.start();
@@ -187,10 +189,6 @@ int cmd_build(const Cli& cli) {
   if (build.stats.batched_sweeps > 0)
     std::cout << ", " << build.stats.tree_reuse_hits
               << " BFS runs saved by terminal batching";
-  if (build.stats.masked_reuse_hits > 0)
-    std::cout << ", " << build.stats.masked_reuse_hits
-              << " masked BFS runs served by tree repair ("
-              << build.stats.masked_tree_repairs << " repairs)";
   std::cout << "\n";
   const Graph h = std::move(build.spanner);
 
@@ -203,6 +201,9 @@ int cmd_build(const Cli& cli) {
 }
 
 int cmd_verify(const Cli& cli) {
+  cli.require_known({"in", "spanner", "k", "f", "model", "trials",
+                     "exhaustive", "seed", "threads", "scenario", "groups",
+                     "radius", "restarts", "coords", "trace", "metrics"});
   const Graph g = load_graph(cli.get("in", ""));
   const Graph h = load_graph(cli.get("spanner", ""));
   const SpannerParams params = params_from(cli);
@@ -271,6 +272,7 @@ int cmd_verify(const Cli& cli) {
 }
 
 int cmd_info(const Cli& cli) {
+  cli.require_known({"in"});
   const Graph g = load_graph(cli.get("in", ""));
   std::size_t components = 0;
   (void)connected_components(g, &components);
@@ -287,6 +289,8 @@ int cmd_info(const Cli& cli) {
 }
 
 int cmd_gen(const Cli& cli) {
+  cli.require_known({"out", "family", "n", "p", "seed", "weighted", "scale",
+                     "edgefactor", "coords"});
   const auto n = static_cast<std::size_t>(cli.get_uint("n", 256));
   const auto seed = cli.get_uint("seed", 1);
   const std::string family = cli.get("family", "gnp");
@@ -337,6 +341,9 @@ int cmd_gen(const Cli& cli) {
 }
 
 int cmd_serve(const Cli& cli) {
+  cli.require_known({"in", "k", "f", "model", "port", "port-file", "uds",
+                     "rebuild-budget", "publish-every", "verify-trials",
+                     "seed", "trace", "metrics"});
   Graph g = load_graph(cli.get("in", ""));
   service::ChurnConfig config;
   config.params = params_from(cli);
@@ -374,6 +381,7 @@ int cmd_serve(const Cli& cli) {
 }
 
 int cmd_client(const Cli& cli) {
+  cli.require_known({"uds", "port", "port-file", "cmd"});
   int fd;
   const std::string uds = cli.get("uds", "");
   if (!uds.empty()) {
