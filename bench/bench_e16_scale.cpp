@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <new>
@@ -182,9 +183,7 @@ bool write_json(const std::string& path, const std::vector<RunResult>& results) 
   return out.flush().good();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace ftspan;
   const Cli cli(argc, argv);
   cli.require_known({"seed", "scales", "family", "edgefactor", "f", "k",
@@ -244,4 +243,17 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nwrote " << json_path << "\n";
   return obs.finish() ? 0 : 1;
+}
+
+}  // namespace
+
+// Bad flags and unusable inputs throw; report them and exit 1 instead of
+// letting the exception reach std::terminate.
+int main(int argc, char** argv) {
+  try {
+    return bench_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -138,11 +139,11 @@ std::string stretch_cell(double value) {
   return std::isinf(value) ? "disc" : Table::num(value, 2);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace ftspan;
   const Cli cli(argc, argv);
+  cli.require_known({"seed", "n", "trials", "k", "f", "radius", "out",
+                     "trace", "trace-ring", "metrics"});
   const auto seed = static_cast<std::uint64_t>(cli.get_uint("seed", 17));
   const auto n = static_cast<std::size_t>(cli.get_uint("n", 120));
   const auto trials = static_cast<std::uint32_t>(cli.get_uint("trials", 16));
@@ -226,4 +227,17 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nwrote " << json_path << "\n";
   return obs.finish() ? 0 : 1;
+}
+
+}  // namespace
+
+// Bad flags and unusable inputs throw; report them and exit 1 instead of
+// letting the exception reach std::terminate.
+int main(int argc, char** argv) {
+  try {
+    return bench_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
@@ -165,10 +166,11 @@ bool write_json(const std::string& path, const RunResult& r) {
   return out.flush().good();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const Cli cli(argc, argv);
+  cli.require_known({"n", "degree", "f", "k", "model", "updates", "queries",
+                     "readers", "checkpoints", "seed", "out", "trace",
+                     "trace-ring", "metrics"});
   const auto n = static_cast<std::size_t>(cli.get_uint("n", 16384));
   const double degree = cli.get_double("degree", 8.0);
   const auto f = static_cast<std::uint32_t>(cli.get_uint("f", 1));
@@ -341,4 +343,17 @@ int main(int argc, char** argv) {
   std::cout << "\nwrote " << json_path << "\n";
   const bool obs_ok = obs.finish();
   return (r.checkpoints_ok && obs_ok) ? 0 : 1;
+}
+
+}  // namespace
+
+// Bad flags and unusable inputs throw; report them and exit 1 instead of
+// letting the exception reach std::terminate.
+int main(int argc, char** argv) {
+  try {
+    return bench_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

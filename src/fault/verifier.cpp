@@ -1,7 +1,10 @@
 #include "fault/verifier.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "exec/thread_pool.h"
 #include "fault/attack.h"
@@ -17,14 +20,25 @@ namespace {
 constexpr double kTolerance = 1e-9;
 
 const obs::Counter c_verify_trials("verify.trials");
+const obs::Counter c_verify_h_edge_pairs("verify.h_edge_pairs");
+const obs::Counter c_verify_bfs_sessions("verify.bfs_sessions");
 
 /// Shared machinery: evaluates one fault set against all surviving G-edges,
 /// folding results into `report`.
+///
+/// Weighted inputs run one budget-pruned Dijkstra in G\F and one in H\F
+/// per surviving G-edge.  When G and H are both unweighted the answers are
+/// known in advance or shared (check_unit), with bit-identical reports.
 class PairChecker {
  public:
   PairChecker(const Graph& g, const Graph& h, const SpannerParams& params)
-      : g_(g), h_(h), t_(params.stretch()), model_(params.model) {
+      : g_(g),
+        h_(h),
+        t_(params.stretch()),
+        model_(params.model),
+        unit_(!g.weighted() && !h.weighted()) {
     FTSPAN_REQUIRE(h.n() == g.n(), "spanner must share G's vertex set");
+    if (unit_) h_adjacent_.ensure_universe(g.n());
   }
 
   void check(const FaultSet& faults, StretchReport& report) {
@@ -56,6 +70,10 @@ class PairChecker {
     }
     const FaultView g_view{g_vertex_mask_.bytes(), g_edge_mask_.bytes()};
     const FaultView h_view{g_vertex_mask_.bytes(), h_edge_mask_.bytes()};
+    if (unit_) {
+      check_unit(faults, h_view, report);
+      return;
+    }
 
     for (EdgeId id = 0; id < g_.m(); ++id) {
       if (model_ == FaultModel::edge && g_edge_mask_.test(id)) continue;
@@ -86,14 +104,85 @@ class PairChecker {
   }
 
  private:
+  /// Unit weights: every surviving G-edge has d_{G\F} = 1, so the H-side
+  /// budget is t hops and the stretch is the hop count d_{H\F}.  A pair
+  /// whose H-copy survives has d_{H\F} = 1; the other pairs of source u
+  /// (G-arcs u -> v, v > u) share one <= t-hop terminal-tree session in
+  /// H\F.  The set's worst pair is the largest stretch, smallest edge id
+  /// among ties, and replaces report.worst only when strictly greater:
+  /// exactly the edge-id-order fold of the Dijkstra loop.
+  void check_unit(const FaultSet& faults, const FaultView& h_view,
+                  StretchReport& report) {
+    double worst = 0.0;
+    EdgeId worst_id = kInvalidEdge;
+    const auto fold = [&](double stretch, EdgeId id) {
+      if (stretch > worst || (stretch == worst && id < worst_id)) {
+        worst = stretch;
+        worst_id = id;
+      }
+    };
+    std::uint64_t h_edge_pairs = 0;
+    std::uint64_t sessions = 0;
+    for (VertexId u = 0; u < g_.n(); ++u) {
+      if (g_vertex_mask_.test(u)) continue;
+      targets_.clear();
+      target_edges_.clear();
+      // An H-copy fails only with its G-edge (edge faults map by endpoints),
+      // so an H-neighbour whose G-pair survives is a surviving H-edge.
+      for (const Arc& arc : h_.neighbors(u)) h_adjacent_.set(arc.to);
+      for (const Arc& arc : g_.neighbors(u)) {
+        if (arc.to < u) continue;  // each edge once, from its smaller end
+        if (model_ == FaultModel::edge ? g_edge_mask_.test(arc.edge)
+                                       : g_vertex_mask_.test(arc.to))
+          continue;
+        ++report.pairs_checked;
+        if (h_adjacent_.test(arc.to)) {
+          ++h_edge_pairs;
+          fold(1.0, arc.edge);
+        } else {
+          targets_.push_back(arc.to);
+          target_edges_.push_back(arc.edge);
+        }
+      }
+      h_adjacent_.reset_touched();
+      if (targets_.empty()) continue;
+
+      ++sessions;
+      bfs_.tree_begin(h_, u, targets_, h_view, t_);
+      for (std::size_t i = 0; i < targets_.size(); ++i) {
+        const std::uint32_t hops = bfs_.tree_next(targets_[i]);
+        if (hops == kUnreachableHops) {
+          report.ok = false;
+          fold(std::numeric_limits<double>::infinity(), target_edges_[i]);
+        } else {
+          fold(static_cast<double>(hops), target_edges_[i]);
+        }
+      }
+    }
+    c_verify_h_edge_pairs.add(h_edge_pairs);
+    c_verify_bfs_sessions.add(sessions);
+
+    if (worst_id != kInvalidEdge && worst > report.max_stretch) {
+      const auto& e = g_.edge(worst_id);
+      report.max_stretch = worst;
+      report.worst = StretchWitness{faults, e.u, e.v, 1.0, worst};
+    }
+  }
+
   const Graph& g_;
   const Graph& h_;
   std::uint32_t t_;
   FaultModel model_;
+  bool unit_;
   DijkstraRunner dijkstra_;
   ScratchMask g_vertex_mask_;
   ScratchMask g_edge_mask_;
   ScratchMask h_edge_mask_;
+  // Unit-weight path state.
+  BfsRunner bfs_;
+  ScratchMask h_adjacent_;                ///< the source's H-neighbours
+  std::vector<VertexId> targets_;         ///< u's pairs left for the BFS
+  std::vector<EdgeId> target_edges_;      ///< their G-edge ids
 };
 
 /// Enumerates all subsets of {0..universe-1} of size exactly `size` and

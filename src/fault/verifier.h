@@ -5,6 +5,14 @@
 // suffices to check pairs {u,v} in E(G); we check every surviving G-edge
 // against t * d_{G\F}(u,v), which is equivalent.
 //
+// Two checking paths, with bit-identical reports:
+//   - weighted G or H: one budget-pruned Dijkstra in G\F and one in H\F per
+//     surviving G-edge;
+//   - G and H both unweighted: no G-side search (a surviving G-edge has
+//     d_{G\F} = 1), no search for a pair whose H-copy survives (d_{H\F} =
+//     1), and one <= t-hop BFS session in H\F per source vertex for the
+//     remaining pairs.
+//
 // Exhaustive verification enumerates all C(n, <= f) fault sets (feasible for
 // small instances; it is the ground truth in tests).  Sampled verification
 // draws fault sets from a mix of random and adversarial strategies (attack.h)
@@ -51,8 +59,9 @@ struct StretchReport {
 };
 
 /// Exhaustively verifies that `h` is an f-FT (2k-1)-spanner of `g`
-/// (all fault sets of size <= f).  O(C(n, f) * m * Dijkstra) — exponential
-/// in f; use on small instances (it is the ground truth in tests).
+/// (all fault sets of size <= f).  O(C(n, f)) fault sets, each checked as
+/// in check_fault_set — exponential in f; use on small instances (it is the
+/// ground truth in tests).
 /// Requires h.n() == g.n().
 [[nodiscard]] StretchReport verify_exhaustive(const Graph& g, const Graph& h,
                                               const SpannerParams& params);
@@ -74,8 +83,8 @@ struct StretchReport {
 /// thread) fans them over the shared worker pool (exec::shared_pool()):
 /// fault sets are drawn from `rng` sequentially up front and per-trial
 /// reports are folded in trial order, so the report — including the worst
-/// witness — is bit-identical at any thread count.  O(trials * m *
-/// Dijkstra) work either way.
+/// witness — is bit-identical at any thread count.  O(trials) fault sets,
+/// each checked as in check_fault_set, either way.
 [[nodiscard]] StretchReport verify_sampled(const Graph& g, const Graph& h,
                                            const SpannerParams& params,
                                            std::uint32_t trials, Rng& rng,
@@ -88,15 +97,19 @@ struct StretchReport {
 /// (0 = one per hardware thread).  When `per_set` is not null it receives
 /// each set's individual report (aligned with `sets`), which is how the
 /// attack benches compute per-trial stretch percentiles.
-/// O(|sets| * m * Dijkstra).
+/// O(|sets|) fault sets, each checked as in check_fault_set.
 [[nodiscard]] StretchReport verify_fault_sets(
     const Graph& g, const Graph& h, const SpannerParams& params,
     std::span<const FaultSet> sets, std::uint32_t threads = 1,
     std::vector<StretchReport>* per_set = nullptr);
 
 /// Checks one specific fault set: max stretch over surviving G-edges
-/// (Lemma 3 reduction), each pair one budget-pruned Dijkstra in G\F and one
-/// in H\F — O(m * Dijkstra).  `faults.model` must match sizes of g/h
+/// (Lemma 3 reduction).  Weighted inputs run one budget-pruned Dijkstra in
+/// G\F and one in H\F per pair — O(m * Dijkstra).  Unit-weight inputs
+/// settle pairs whose H-copy survives in O(m_G + m_H) and run one <= t-hop
+/// BFS in H\F per source for the rest — O(n * t-hop BFS) at worst.  The
+/// worst witness is the first max-stretch pair in edge-id order on both
+/// paths.  `faults.model` must match sizes of g/h
 /// (vertex ids < n, edge ids < m of g -- edge faults are mapped to h via
 /// endpoint lookup).
 [[nodiscard]] StretchReport check_fault_set(const Graph& g, const Graph& h,

@@ -3,13 +3,16 @@
 // certificates, oracle-call and sweep counts on seeded random inputs across
 // both fault models.  A second tier pins the batched LBC oracle itself
 // (decide_batched) against the dedicated per-pair oracle down to cuts and
-// sweep counts, and a third pins the verifier's reports across thread
-// counts.  Every assertion names the
+// sweep counts, a third pins the verifier's reports across thread
+// counts, and a fourth pins the verifier's unit-weight path against its
+// Dijkstra path on the same graphs rebuilt as weighted.  Every assertion
+// names the
 // failing seed so a red run is reproducible from the log alone.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "fault/verifier.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/subgraph.h"
 #include "obs/obs.h"
 #include "spanner/baswana_sen.h"
 #include "util/rng.h"
@@ -190,6 +194,23 @@ TEST(Differential, TracingOnNeverPerturbsResults) {
   obs::reset_for_testing();
 }
 
+/// Asserts two verifier reports equal field by field, witness included.
+void expect_reports_identical(const StretchReport& report,
+                              const StretchReport& ref,
+                              const std::string& ctx) {
+  ASSERT_EQ(report.ok, ref.ok) << ctx;
+  ASSERT_EQ(report.max_stretch, ref.max_stretch) << ctx;
+  ASSERT_EQ(report.fault_sets_checked, ref.fault_sets_checked) << ctx;
+  ASSERT_EQ(report.pairs_checked, ref.pairs_checked) << ctx;
+  ASSERT_EQ(report.trials_skipped, ref.trials_skipped) << ctx;
+  ASSERT_EQ(report.worst.faults.model, ref.worst.faults.model) << ctx;
+  ASSERT_EQ(report.worst.faults.ids, ref.worst.faults.ids) << ctx;
+  ASSERT_EQ(report.worst.u, ref.worst.u) << ctx;
+  ASSERT_EQ(report.worst.v, ref.worst.v) << ctx;
+  ASSERT_EQ(report.worst.d_g, ref.worst.d_g) << ctx;
+  ASSERT_EQ(report.worst.d_h, ref.worst.d_h) << ctx;
+}
+
 // ------------------------------------------------- scenario bit-identity
 
 /// Scenario storms share verify_sampled's execution contract: draws are
@@ -225,18 +246,9 @@ TEST(Differential, ScenarioStormsBitIdenticalAcrossThreads) {
                                   " model=" + to_string(params.model) +
                                   " threads=" + std::to_string(threads);
           Rng rng(storm_seed);
-          const StretchReport report =
-              verify_scenario(g, h, params, spec, trials, rng, threads);
-          ASSERT_EQ(report.ok, ref.ok) << ctx;
-          ASSERT_EQ(report.max_stretch, ref.max_stretch) << ctx;
-          ASSERT_EQ(report.fault_sets_checked, ref.fault_sets_checked) << ctx;
-          ASSERT_EQ(report.pairs_checked, ref.pairs_checked) << ctx;
-          ASSERT_EQ(report.trials_skipped, ref.trials_skipped) << ctx;
-          ASSERT_EQ(report.worst.faults.ids, ref.worst.faults.ids) << ctx;
-          ASSERT_EQ(report.worst.u, ref.worst.u) << ctx;
-          ASSERT_EQ(report.worst.v, ref.worst.v) << ctx;
-          ASSERT_EQ(report.worst.d_g, ref.worst.d_g) << ctx;
-          ASSERT_EQ(report.worst.d_h, ref.worst.d_h) << ctx;
+          ASSERT_NO_FATAL_FAILURE(expect_reports_identical(
+              verify_scenario(g, h, params, spec, trials, rng, threads), ref,
+              ctx));
         }
       }
     }
@@ -256,6 +268,150 @@ TEST(Differential, BatchedOracleMatchesOnDenseGraphs) {
     for (const FaultModel model : {FaultModel::vertex, FaultModel::edge})
       expect_batched_oracle_matches(g, model, 3, 4, u, targets, seed,
                                     /*expect_masked_sweeps=*/true);
+  }
+}
+
+// ------------------------------------------- unit-weight verifier vs Dijkstra
+
+/// The same graph with weighted() == true and every weight 1.0: same edge
+/// ids and arc order, but the verifier takes its Dijkstra path.
+Graph as_weighted(const Graph& g) {
+  return Graph::from_edges(g.n(), g.edges(), /*weighted=*/true);
+}
+
+/// Verifies unit-weight (g, h) exhaustively and sampled at threads
+/// {1, 2, 8}, each against the same run on the weighted rebuilds.  Returns
+/// the exhaustive report so callers can assert what the instance exercises.
+StretchReport expect_unit_path_matches_dijkstra(const Graph& g, const Graph& h,
+                                                const SpannerParams& params,
+                                                const std::string& name) {
+  const Graph gw = as_weighted(g);
+  const Graph hw = as_weighted(h);
+  const std::string ctx =
+      name + " n=" + std::to_string(g.n()) + " m=" + std::to_string(g.m()) +
+      " |H|=" + std::to_string(h.m()) + " f=" + std::to_string(params.f) +
+      " model=" + to_string(params.model);
+
+  const StretchReport exhaustive = verify_exhaustive(g, h, params);
+  expect_reports_identical(exhaustive, verify_exhaustive(gw, hw, params),
+                           ctx + " exhaustive");
+  for (const std::uint32_t threads : {1u, 2u, 8u}) {
+    Rng rng(0x5a3d + threads);
+    Rng ref_rng(0x5a3d + threads);
+    expect_reports_identical(
+        verify_sampled(g, h, params, 24, rng, threads),
+        verify_sampled(gw, hw, params, 24, ref_rng, threads),
+        ctx + " sampled threads=" + std::to_string(threads));
+  }
+  return exhaustive;
+}
+
+TEST(Differential, UnitVerifierMatchesDijkstraOnGreedySpanners) {
+  for (std::uint64_t seed = 81; seed <= 83; ++seed) {
+    Rng rng(0x0b17ULL * seed);
+    const Graph g = gnp(16, 0.35, rng);
+    for (const FaultModel model : {FaultModel::vertex, FaultModel::edge}) {
+      const SpannerParams params{.k = 2, .f = 2, .model = model};
+      const Graph h = modified_greedy_spanner(g, params).spanner;
+      const auto report = expect_unit_path_matches_dijkstra(
+          g, h, params, "greedy seed=" + std::to_string(seed));
+      EXPECT_TRUE(report.ok) << "greedy seed=" << seed;
+      EXPECT_GT(report.max_stretch, 1.0) << "greedy seed=" << seed;
+    }
+  }
+}
+
+TEST(Differential, UnitVerifierMatchesDijkstraOnBrokenSpanners) {
+  for (std::uint64_t seed = 91; seed <= 93; ++seed) {
+    Rng rng(0x0b18ULL * seed);
+    const Graph g = gnp(15, 0.4, rng);
+    // A BFS spanning forest, and a random half of the edges: both must fail
+    // somewhere with an infinite-stretch witness.
+    std::vector<EdgeId> tree;
+    std::vector<EdgeId> half;
+    std::vector<std::uint8_t> seen(g.n(), 0);
+    for (VertexId root = 0; root < g.n(); ++root) {
+      if (seen[root] != 0) continue;
+      seen[root] = 1;
+      std::vector<VertexId> queue{root};
+      for (std::size_t head = 0; head < queue.size(); ++head)
+        for (const Arc& arc : g.neighbors(queue[head]))
+          if (seen[arc.to] == 0) {
+            seen[arc.to] = 1;
+            tree.push_back(arc.edge);
+            queue.push_back(arc.to);
+          }
+    }
+    for (EdgeId id = 0; id < g.m(); ++id)
+      if (rng.next_below(2) == 0) half.push_back(id);
+    for (const FaultModel model : {FaultModel::vertex, FaultModel::edge}) {
+      const SpannerParams params{.k = 2, .f = 2, .model = model};
+      for (const auto& [name, ids] :
+           {std::pair{"tree", &tree}, std::pair{"half", &half}}) {
+        const std::string ctx = std::string(name) + " seed=" +
+                                std::to_string(seed);
+        const auto report = expect_unit_path_matches_dijkstra(
+            g, edge_subgraph(g, *ids), params, ctx);
+        EXPECT_FALSE(report.ok) << ctx;
+        EXPECT_TRUE(std::isinf(report.max_stretch)) << ctx;
+        EXPECT_TRUE(std::isinf(report.worst.d_h)) << ctx;
+      }
+    }
+  }
+}
+
+TEST(Differential, UnitVerifierMatchesDijkstraOnDisconnectedG) {
+  // Two dense blocks and a few isolated vertices: no pair crosses a
+  // component, and sources with no G-arcs open no session.  Edges are
+  // stored in both orientations, so the witness must keep the stored one.
+  Graph g(20);
+  Rng rng(0x0b19);
+  for (VertexId base : {0u, 8u})
+    for (VertexId u = base; u < base + 7; ++u)
+      for (VertexId v = u + 1; v < base + 7; ++v)
+        if (rng.next_below(3) != 0) {
+          if (rng.next_below(2) == 0)
+            g.add_edge(u, v);
+          else
+            g.add_edge(v, u);
+        }
+  for (const FaultModel model : {FaultModel::vertex, FaultModel::edge}) {
+    const SpannerParams params{.k = 2, .f = 2, .model = model};
+    const Graph h = modified_greedy_spanner(g, params).spanner;
+    EXPECT_TRUE(expect_unit_path_matches_dijkstra(g, h, params, "disconnected")
+                    .ok);
+  }
+}
+
+TEST(Differential, UnitVerifierMatchesDijkstraWithExtraHEdges) {
+  // H holds edges G does not: they shorten H-paths (and can be the H-side
+  // of a pair's two-hop detour) but are never checked as pairs themselves.
+  for (std::uint64_t seed = 101; seed <= 102; ++seed) {
+    Rng rng(0x0b1aULL * seed);
+    const Graph g = gnp(15, 0.3, rng);
+    for (const FaultModel model : {FaultModel::vertex, FaultModel::edge}) {
+      const SpannerParams params{.k = 2, .f = 1, .model = model};
+      Graph h = modified_greedy_spanner(g, params).spanner;
+      std::size_t extra = 0;
+      for (VertexId u = 0; u < g.n() && extra < 6; ++u)
+        for (VertexId v = u + 2; v < g.n() && extra < 6; v += 3)
+          if (!g.has_edge(u, v) && !h.has_edge(u, v)) {
+            h.add_edge(u, v);
+            ++extra;
+          }
+      ASSERT_EQ(extra, 6u);
+      EXPECT_TRUE(expect_unit_path_matches_dijkstra(
+                      g, h, params, "extra seed=" + std::to_string(seed))
+                      .ok);
+      // Thin H to every third G-edge plus the extras: violations whose
+      // detours run over non-G edges must match too.
+      std::vector<EdgeId> keep;
+      for (EdgeId id = 0; id < h.m(); ++id)
+        if (id % 3 == 0 || id + extra >= h.m()) keep.push_back(id);
+      const Graph thin = edge_subgraph(h, keep);
+      (void)expect_unit_path_matches_dijkstra(
+          g, thin, params, "thin seed=" + std::to_string(seed));
+    }
   }
 }
 

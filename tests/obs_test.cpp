@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/modified_greedy.h"
@@ -245,6 +246,41 @@ TEST(ObsMetrics, MetricsJsonIsValidAndFlat) {
   EXPECT_NE(json.find("\"obs_test.json.counter\": 11"), std::string::npos);
   EXPECT_NE(json.find("\"obs.dropped_events\": 0"), std::string::npos);
   obs::reset_for_testing();
+}
+
+/// Runs a sampled verify with metrics on and returns the values of the
+/// verifier's unit-weight counters {verify.h_edge_pairs, verify.bfs_sessions}.
+std::pair<std::uint64_t, std::uint64_t> unit_verify_counters(
+    const Graph& g, const Graph& h, const SpannerParams& params) {
+  obs::reset_for_testing();
+  obs::metrics_start();
+  Rng rng(3);
+  (void)verify_sampled(g, h, params, 8, rng);
+  std::pair<std::uint64_t, std::uint64_t> counts{0, 0};
+  for (const auto& [name, value] : obs::metrics_snapshot().counters) {
+    if (name == "verify.h_edge_pairs") counts.first += value;
+    if (name == "verify.bfs_sessions") counts.second += value;
+  }
+  obs::reset_for_testing();
+  return counts;
+}
+
+TEST(ObsMetrics, VerifierUnitCountersFireOnlyOnUnitWeights) {
+  Rng rng(29);
+  const Graph g = gnp(64, 0.15, rng);
+  const SpannerParams params{.k = 2, .f = 1};
+  const Graph h = modified_greedy_spanner(g, params).spanner;
+  const auto unit = unit_verify_counters(g, h, params);
+  EXPECT_GT(unit.first, 0u);
+  EXPECT_GT(unit.second, 0u);
+
+  // The same graphs with weighted() set (every weight 1.0) take the
+  // Dijkstra path, which has neither shortcut.
+  const Graph gw = Graph::from_edges(g.n(), g.edges(), /*weighted=*/true);
+  const Graph hw = Graph::from_edges(h.n(), h.edges(), /*weighted=*/true);
+  const auto weighted = unit_verify_counters(gw, hw, params);
+  EXPECT_EQ(weighted.first, 0u);
+  EXPECT_EQ(weighted.second, 0u);
 }
 
 // ----------------------------------------------------------- span rings
